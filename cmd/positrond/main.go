@@ -172,7 +172,7 @@ func main() {
 	workers := flag.Int("workers", 0, "per-model inference worker count (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "per-model job queue depth (0 = 2x workers)")
 	batchWindow := flag.Duration("batch-window", registry.DefaultBatchWindow,
-		"micro-batching window: concurrent single inferences arriving within it share one batch (0 disables)")
+		"micro-batching window: single inferences arriving within it share one batch; it caps the coalescing wait, and a request arriving after a full window of silence runs at once (0 disables)")
 	maxBatch := flag.Int("max-batch", registry.DefaultMaxBatch,
 		"flush a coalesced batch at this size instead of waiting out the window")
 	flushPipeline := flag.Int("flush-pipeline", registry.DefaultFlushPipeline,

@@ -45,6 +45,8 @@ func TestAdmissionRejectsAtCap(t *testing.T) {
 	if h.MaxInFlight() != 1 {
 		t.Fatalf("MaxInFlight = %d, want 1", h.MaxInFlight())
 	}
+	warm(t, h.Infer)
+	base := h.Metrics().Snapshot()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -67,8 +69,8 @@ func TestAdmissionRejectsAtCap(t *testing.T) {
 		t.Fatalf("over-cap request: %v, want ErrOverloaded", err)
 	}
 	snap := h.Metrics().Snapshot()
-	if snap.Rejected != 1 || snap.InFlight != 1 {
-		t.Fatalf("after shed: rejected=%d in_flight=%d, want 1/1", snap.Rejected, snap.InFlight)
+	if rejected := snap.Rejected - base.Rejected; rejected != 1 || snap.InFlight != 1 {
+		t.Fatalf("after shed: rejected=%d in_flight=%d, want 1/1", rejected, snap.InFlight)
 	}
 
 	// Free the slot; the gauge drains and admission reopens.
@@ -160,6 +162,8 @@ func TestRequestTimeoutFires(t *testing.T) {
 	if h.RequestTimeout() != 30*time.Millisecond {
 		t.Fatalf("RequestTimeout = %v", h.RequestTimeout())
 	}
+	warm(t, h.Infer)
+	base := h.Metrics().Snapshot()
 	start := time.Now()
 	_, err := h.Infer(context.Background(), testInput(2))
 	if !errors.Is(err, ErrRequestTimeout) {
@@ -169,8 +173,8 @@ func TestRequestTimeoutFires(t *testing.T) {
 		t.Fatalf("timeout took %v", elapsed)
 	}
 	snap := h.Metrics().Snapshot()
-	if snap.TimedOut != 1 {
-		t.Fatalf("timed_out = %d, want 1", snap.TimedOut)
+	if n := snap.TimedOut - base.TimedOut; n != 1 {
+		t.Fatalf("timed_out = %d, want 1", n)
 	}
 	if snap.InFlight != 0 {
 		t.Fatalf("in_flight = %d after timeout released the slot", snap.InFlight)
@@ -186,6 +190,8 @@ func TestRequestTimeoutKeepsCallerCancellation(t *testing.T) {
 		WithBatchWindow(time.Hour),
 		WithMaxBatch(1000),
 	)
+	warm(t, h.Infer)
+	base := h.Metrics().Snapshot()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -199,7 +205,7 @@ func TestRequestTimeoutKeepsCallerCancellation(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled caller got %v, want context.Canceled", err)
 		}
-		if snap := h.Metrics().Snapshot(); snap.TimedOut != 0 {
+		if snap := h.Metrics().Snapshot(); snap.TimedOut != base.TimedOut {
 			t.Fatalf("cancellation miscounted as timeout: %+v", snap)
 		}
 	case <-time.After(5 * time.Second):
@@ -243,6 +249,7 @@ func TestHandleInferBatchAdmission(t *testing.T) {
 		WithBatchWindow(time.Hour),
 		WithMaxBatch(1000),
 	)
+	warm(t, h.Infer)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	parked := make(chan error, 1)

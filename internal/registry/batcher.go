@@ -31,7 +31,9 @@ var ErrBatcherClosed = errors.New("registry: batcher closed")
 
 // DefaultBatchWindow is the coalescing window used when none is
 // configured: long enough to catch concurrent bursts, short enough to be
-// invisible next to network latency.
+// invisible next to network latency. It caps how long a call waits for
+// batch-mates; a call that arrives after a full window of silence runs
+// at once.
 const DefaultBatchWindow = 2 * time.Millisecond
 
 // DefaultMaxBatch bounds a coalesced flush when no limit is configured.
@@ -75,10 +77,11 @@ type Batcher struct {
 	outDim   int
 	shared   bool
 
-	// mu guards the pending queue, the window timer and closed.
+	// mu guards the pending queue, the window timer, last and closed.
 	mu      sync.Mutex
 	pending []*call
 	timer   *time.Timer
+	last    time.Time // arrival of the latest coalescing Infer
 	closed  bool
 
 	// flights counts in-progress runtime operations (flushes and direct
@@ -137,12 +140,16 @@ func (b *Batcher) beginOp() error {
 	return nil
 }
 
-// Infer runs one sample. If other Infer calls arrive within the window
-// (or until maxBatch is reached), they share one runtime batch; results
-// are demultiplexed per caller and are bit-identical to an unbatched
-// call, because each inference in a batch is independent. Cancelling ctx
-// abandons the wait (the flush may still compute the result; it is
-// discarded). The returned slice is caller-owned.
+// Infer runs one sample. A call that finds nothing pending and follows
+// a full window with no other Infer flushes at once on the caller's
+// goroutine, so an idle batcher adds no wait. Otherwise the call joins
+// the pending queue, which flushes one window after its first call or
+// when maxBatch calls pend, whichever comes first: the window caps the
+// wait, it never sets it. Results are demultiplexed per caller and are
+// bit-identical to an unbatched call, because each inference in a batch
+// is independent. Cancelling ctx abandons the wait (the flush may still
+// compute the result; it is discarded). The returned slice is
+// caller-owned.
 func (b *Batcher) Infer(ctx context.Context, x []float64) ([]float64, error) {
 	if err := b.checkInput(x); err != nil {
 		return nil, err
@@ -167,8 +174,12 @@ func (b *Batcher) Infer(ctx context.Context, x []float64) ([]float64, error) {
 		b.mu.Unlock()
 		return nil, ErrBatcherClosed
 	}
+	// A call that finds nothing pending and no arrival within the last
+	// window is alone: waiting out the window could only add latency.
+	idle := len(b.pending) == 0 && start.Sub(b.last) >= b.window
+	b.last = start
 	b.pending = append(b.pending, c)
-	if len(b.pending) >= b.maxBatch {
+	if idle || len(b.pending) >= b.maxBatch {
 		batch := b.takeLocked()
 		b.flights.Add(1)
 		b.mu.Unlock()

@@ -3,6 +3,7 @@ package registry
 import (
 	"context"
 	"errors"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +23,18 @@ func newTestBatcher(t *testing.T, window time.Duration, maxBatch int) (*Batcher,
 	t.Cleanup(func() { rt.Close() })
 	m := &Metrics{}
 	return NewBatcher(rt, window, maxBatch, m), m
+}
+
+// warm sends one request through infer. The first call after a silence
+// flushes at once, so a test that parks calls in the pending queue
+// warms first: calls made within the window afterwards wait as before.
+func warm(t *testing.T, infer func(context.Context, []float64) ([]float64, error)) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := infer(ctx, testInput(0)); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
 }
 
 // TestBatcherBitIdentity is the tentpole exactness contract: results
@@ -75,6 +88,77 @@ func TestBatcherBitIdentity(t *testing.T) {
 	}
 	if snap.MaxCoalesced > 8 {
 		t.Fatalf("coalesced flush of %d exceeds maxBatch 8", snap.MaxCoalesced)
+	}
+}
+
+// TestBatcherFlushOnIdle: the window caps how long a call waits for
+// batch-mates; it never sets the wait. A call that finds nothing pending
+// and no arrival within the last window flushes at once, while calls
+// within the window of an earlier one still coalesce. Results stay
+// bit-identical to a serial session either way.
+func TestBatcherFlushOnIdle(t *testing.T) {
+	cases := []struct {
+		name    string
+		window  time.Duration
+		warm    bool          // send one request before the measured calls
+		silence time.Duration // pause between the warm-up and the calls
+		calls   int           // concurrent measured calls
+		bucket  string        // histogram bucket of their one flush
+	}{
+		{name: "lone call under a one-hour window", window: time.Hour, calls: 1, bucket: "1"},
+		{name: "calls within the window coalesce", window: time.Hour, warm: true, calls: 3, bucket: "3-4"},
+		{name: "call after a full window of silence", window: 100 * time.Millisecond, warm: true,
+			silence: 100 * time.Millisecond, calls: 1, bucket: "1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// maxBatch 3: a lone call can only flush early by being idle.
+			b, m := newTestBatcher(t, tc.window, 3)
+			ref := b.Runtime().Model().NewInferer()
+			if tc.warm {
+				warm(t, b.Infer)
+				time.Sleep(tc.silence)
+			}
+			base := m.Snapshot()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			got := make([][]float64, tc.calls)
+			errs := make([]error, tc.calls)
+			start := time.Now()
+			var wg sync.WaitGroup
+			wg.Add(tc.calls)
+			for i := 0; i < tc.calls; i++ {
+				go func(i int) {
+					defer wg.Done()
+					got[i], errs[i] = b.Infer(ctx, testInput(40+i))
+				}(i)
+			}
+			wg.Wait()
+			elapsed := time.Since(start)
+
+			for i := range got {
+				if errs[i] != nil {
+					t.Fatalf("call %d: %v", i, errs[i])
+				}
+				want := ref.Infer(testInput(40 + i))
+				for j := range want {
+					if got[i][j] != want[j] {
+						t.Fatalf("call %d logit %d: %v != serial %v", i, j, got[i][j], want[j])
+					}
+				}
+			}
+			if elapsed >= tc.window {
+				t.Fatalf("calls took %v, not under the %v window", elapsed, tc.window)
+			}
+			snap := m.Snapshot()
+			if n := snap.Batches - base.Batches; n != 1 {
+				t.Fatalf("%d flushes, want 1", n)
+			}
+			if n := snap.BatchSizeHist[tc.bucket] - base.BatchSizeHist[tc.bucket]; n != 1 {
+				t.Fatalf("flush not in bucket %q: %v", tc.bucket, snap.BatchSizeHist)
+			}
+		})
 	}
 }
 
@@ -186,6 +270,7 @@ func TestBatcherBadInput(t *testing.T) {
 // unaffected.
 func TestBatcherCallerCancellation(t *testing.T) {
 	b, _ := newTestBatcher(t, time.Hour, 1000) // flush effectively never fires on its own
+	warm(t, b.Infer)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -211,6 +296,8 @@ func TestBatcherCallerCancellation(t *testing.T) {
 // consume EMAC compute nor skew the batch-size histogram.
 func TestBatcherCancelledExcludedFromFlush(t *testing.T) {
 	b, m := newTestBatcher(t, time.Hour, 3) // flush only when 3 calls pend
+	warm(t, b.Infer)
+	base := m.Snapshot()
 
 	// Park a call, then cancel it. The caller returns; its entry stays
 	// in the pending queue until the next flush.
@@ -252,13 +339,14 @@ func TestBatcherCancelledExcludedFromFlush(t *testing.T) {
 	wg.Wait()
 
 	snap := m.Snapshot()
-	if snap.Requests != 2 {
-		t.Fatalf("requests = %d, want 2 (cancelled call must not count)", snap.Requests)
+	if n := snap.Requests - base.Requests; n != 2 {
+		t.Fatalf("requests = %d, want 2 (cancelled call must not count)", n)
 	}
-	if snap.Batches != 1 || snap.MaxCoalesced != 2 {
+	if snap.Batches-base.Batches != 1 || snap.MaxCoalesced != 2 {
 		t.Fatalf("flush shape: %+v, want one coalesced batch of 2", snap)
 	}
-	if snap.BatchSizeHist["2"] != 1 || snap.BatchSizeHist["3-4"] != 0 {
+	if snap.BatchSizeHist["2"]-base.BatchSizeHist["2"] != 1 ||
+		snap.BatchSizeHist["3-4"]-base.BatchSizeHist["3-4"] != 0 {
 		t.Fatalf("histogram skewed by cancelled call: %v", snap.BatchSizeHist)
 	}
 }
@@ -268,6 +356,8 @@ func TestBatcherCancelledExcludedFromFlush(t *testing.T) {
 // recorded (the ObserveFlush(0) bug) and Close does not hang.
 func TestBatcherAllCancelledFlushSkipsRuntime(t *testing.T) {
 	b, m := newTestBatcher(t, time.Hour, 1000)
+	warm(t, b.Infer)
+	base := m.Snapshot()
 	const n = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -298,7 +388,8 @@ func TestBatcherAllCancelledFlushSkipsRuntime(t *testing.T) {
 	wg.Wait()
 	b.Close() // flushes the all-cancelled queue
 	snap := m.Snapshot()
-	if snap.Batches != 0 || snap.Requests != 0 || len(snap.BatchSizeHist) != 0 {
+	if snap.Batches != base.Batches || snap.Requests != base.Requests ||
+		!maps.Equal(snap.BatchSizeHist, base.BatchSizeHist) {
 		t.Fatalf("all-cancelled flush recorded a phantom batch: %+v", snap)
 	}
 }
@@ -321,6 +412,7 @@ func TestBatcherEmptyBatchRejected(t *testing.T) {
 // and new work is rejected afterwards.
 func TestBatcherClose(t *testing.T) {
 	b, _ := newTestBatcher(t, time.Hour, 1000)
+	warm(t, b.Infer)
 	ref := b.Runtime().Model().NewInferer()
 	want := ref.Infer(testInput(3))
 

@@ -157,6 +157,8 @@ func TestCloseMidPipelineDrains(t *testing.T) {
 	m := &Metrics{}
 	b := NewBatcher(rt, time.Hour, 3, m) // coalesced windows flush only via Close
 	ref := model.Model.NewInferer()      // the undecorated plane: same bits, no sleep
+	warm(t, b.Infer)
+	base := m.Snapshot()
 
 	// Two explicit batches occupy both planes; one coalesced call parks
 	// in the pending queue awaiting the (never-firing) window timer.
@@ -235,7 +237,7 @@ func TestCloseMidPipelineDrains(t *testing.T) {
 	// Exactly 3 flushes ran (two explicit, one close-time); nothing
 	// phantom was recorded during teardown.
 	snap := m.Snapshot()
-	if snap.Batches != 3 || snap.Requests != 2*batchSize+1 {
+	if snap.Batches-base.Batches != 3 || snap.Requests-base.Requests != 2*batchSize+1 {
 		t.Fatalf("flush accounting after Close: %+v, want 3 batches / %d requests", snap, 2*batchSize+1)
 	}
 	if _, err := b.Infer(context.Background(), testInput(0)); !errors.Is(err, ErrBatcherClosed) {
@@ -303,6 +305,8 @@ func TestCostAwareAdmissionWeighsBatches(t *testing.T) {
 	if h.MaxInFlight() != 4 {
 		t.Fatalf("MaxInFlight = %d, want 4", h.MaxInFlight())
 	}
+	warm(t, h.Infer)
+	base := h.Metrics().Snapshot()
 
 	// Park two singles: 2 of 4 units held.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -326,8 +330,8 @@ func TestCostAwareAdmissionWeighsBatches(t *testing.T) {
 	if _, err := h.InferBatch(context.Background(), three); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("3-sample batch over a 2/4 gate: %v, want ErrOverloaded", err)
 	}
-	if snap := h.Metrics().Snapshot(); snap.Rejected != 1 {
-		t.Fatalf("rejected = %d after cost-aware shed, want 1", snap.Rejected)
+	if n := h.Metrics().Snapshot().Rejected - base.Rejected; n != 1 {
+		t.Fatalf("rejected = %d after cost-aware shed, want 1", n)
 	}
 	two := [][]float64{testInput(13), testInput(14)}
 	if out, err := h.InferBatch(context.Background(), two); err != nil || len(out) != 2 {

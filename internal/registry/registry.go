@@ -74,8 +74,9 @@ func WithRuntimeOptions(opts ...engine.Option) Option {
 
 // WithBatchWindow sets the micro-batching coalescing window for every
 // model: single-sample inferences arriving within the window share one
-// runtime batch. d <= 0 disables coalescing. The default is
-// DefaultBatchWindow.
+// runtime batch. The window caps how long a call waits for batch-mates;
+// a call that arrives after a full window of silence flushes at once.
+// d <= 0 disables coalescing. The default is DefaultBatchWindow.
 func WithBatchWindow(d time.Duration) Option {
 	return func(c *config) { c.window = d }
 }
@@ -194,7 +195,7 @@ type Registry struct {
 	mu      sync.Mutex
 	objects map[artifact.Hash]*entry // live entries by content key
 	names   map[string]*binding      // serving names onto entries
-	pins    map[artifact.Hash]int    // hashes held live by in-flight loads
+	pins    map[artifact.Hash]int    // hashes held live by in-flight loads and draining entries
 	anonSeq uint64                   // surrogate-key counter for hashless models
 	closed  bool
 }
@@ -276,8 +277,22 @@ func (r *Registry) unpin(h artifact.Hash) {
 	r.mu.Unlock()
 }
 
-// isLive is the GC predicate: a hash is live while an in-flight load
-// pins it or a loaded entry owns it.
+// retireLocked marks an entry that has just left the object table as
+// unloaded and reports whether it is idle. While handles are still out,
+// its key stays pinned, so a GC sweep cannot remove the bytes of a model
+// that is still serving requests; the last Release unpins it. Caller
+// holds r.mu.
+func (r *Registry) retireLocked(e *entry) (idle bool) {
+	e.unloaded = true
+	if e.refs == 0 {
+		return true
+	}
+	r.pins[e.key]++
+	return false
+}
+
+// isLive is the GC predicate: a hash is live while an in-flight load or
+// a draining entry pins it, or a loaded entry owns it.
 func (r *Registry) isLive(h artifact.Hash) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -533,6 +548,7 @@ func (h *Handle) Release() {
 		last := h.e.refs == 0 && h.e.unloaded
 		h.r.mu.Unlock()
 		if last {
+			h.r.unpin(h.e.key) // taken by retireLocked
 			h.e.closeOnce.Do(h.e.close)
 		}
 	})
@@ -584,8 +600,7 @@ func (r *Registry) Unload(name string) error {
 		return nil
 	}
 	delete(r.objects, e.key)
-	e.unloaded = true
-	idle := e.refs == 0
+	idle := r.retireLocked(e)
 	r.mu.Unlock()
 
 	if idle {
@@ -770,7 +785,7 @@ func (r *Registry) Close() error {
 	for key, e := range r.objects {
 		delete(r.objects, key)
 		e.bound = 0
-		e.unloaded = true
+		r.retireLocked(e)
 		entries = append(entries, e)
 	}
 	for name := range r.names {

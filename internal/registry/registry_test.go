@@ -112,7 +112,8 @@ func TestInvalidNames(t *testing.T) {
 }
 
 // TestUnloadWaitsForHandles: unload must not close the runtime while a
-// handle (an in-flight request) is outstanding.
+// handle (an in-flight request) is outstanding, and a GC sweep must not
+// remove the model's bytes until that handle drains.
 func TestUnloadWaitsForHandles(t *testing.T) {
 	r := New(WithRuntimeOptions(engine.WithWorkers(1)))
 	defer r.Close()
@@ -150,11 +151,20 @@ func TestUnloadWaitsForHandles(t *testing.T) {
 	if _, err := h.Batcher().Infer(context.Background(), testInput(1)); err != nil {
 		t.Fatalf("infer on pinned handle: %v", err)
 	}
+	if removed, _, err := r.GC(); err != nil || removed != 0 {
+		t.Fatalf("GC while draining: removed %d, %v; want 0", removed, err)
+	}
+	if _, err := r.Store().Get(h.ContentHash()); err != nil {
+		t.Fatalf("draining model's blob: %v", err)
+	}
 	h.Release()
 	select {
 	case <-unloaded:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Unload did not return after the last release")
+	}
+	if removed, _, err := r.GC(); err != nil || removed != 1 {
+		t.Fatalf("GC after drain: removed %d, %v; want 1", removed, err)
 	}
 	// The drained runtime is closed.
 	if _, err := h.Runtime().InferBatch(context.Background(), [][]float64{testInput(2)}); !errors.Is(err, engine.ErrClosed) {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/emac"
@@ -226,6 +227,49 @@ func TestInferencePanicIs500NotCrash(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/metrics", &metrics)
 	if len(metrics.Models) != 1 || metrics.Models[0].Panics != 1 {
 		t.Fatalf("per-model panics counter wrong: %+v", metrics.Models)
+	}
+}
+
+// TestNaRWeightNeverEmpty200: an artifact whose weights hold the posit
+// NaR code loads, and its logits come out NaN, which has no JSON form.
+// Served through the real handler, a request must never answer 200
+// with an empty body: the encode failure becomes a 500 carrying the
+// error envelope.
+func TestNaRWeightNeverEmpty200(t *testing.T) {
+	m, test := irisModel(t)
+	net, ok := m.(*core.Network)
+	if !ok {
+		t.Fatalf("iris model is %T, want *core.Network", m)
+	}
+	net.Layers[len(net.Layers)-1].W[0][0] = emac.Code(1 << 7) // posit(8,0) NaR
+	data, err := artifact.Encode(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := registry.New()
+	if err := reg.LoadBytes("nar", data); err != nil {
+		t.Fatal(err)
+	}
+	s := New(reg, "nar")
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	batch, err := json.Marshal(map[string]any{"inputs": test.X[:4]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{inferBody(t, test), string(batch)} {
+		resp, raw := postJSON(t, ts.URL+"/v1/models/nar/infer", body)
+		if resp.StatusCode == http.StatusOK && len(raw) == 0 {
+			t.Fatalf("NaR model answered 200 with an empty body to %s", body)
+		}
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("NaR model infer = %d (%s), want 500", resp.StatusCode, raw)
+		}
+		var e errorJSON
+		if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
+			t.Fatalf("500 body %q is not the error envelope (%v)", raw, err)
+		}
 	}
 }
 

@@ -48,6 +48,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -58,6 +59,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -193,11 +195,26 @@ func (s *Server) Registry() *registry.Registry { return s.reg }
 // listener has shut down.
 func (s *Server) Close() error { return s.reg.Close() }
 
-// writeJSON writes v with the given status.
+// jsonBufs recycles response encode buffers across requests.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON writes v with the given status. It encodes v in full before
+// sending the status line, so a value with no JSON form (a NaN logit)
+// answers 500 with the error envelope instead of the status it asked
+// for over an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		// A string-only envelope always encodes.
+		_ = json.NewEncoder(buf).Encode(errorJSON{Error: fmt.Sprintf("encode response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes()) // the client is gone; nothing to report to
 }
 
 // errorJSON is the error envelope for every non-2xx response.

@@ -620,12 +620,22 @@ func TestOverloadSheds429(t *testing.T) {
 // never-flushing batch window gets 503 + Retry-After at the configured
 // deadline, and the timed-out counter moves.
 func TestRequestTimeout503(t *testing.T) {
-	_, ts, _, test := newTestServer(t,
+	s, ts, _, test := newTestServer(t,
 		registry.WithRequestTimeout(30*time.Millisecond),
 		registry.WithBatchWindow(time.Hour),
 		registry.WithMaxBatch(1<<20),
 	)
 	body, _ := json.Marshal(map[string]any{"input": test.X[0]})
+	// The first request after a silence flushes at once; the next one,
+	// within the window, parks behind it.
+	if resp, raw := postJSON(t, ts.URL+"/v1/infer", string(body)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up = %d (%s), want 200", resp.StatusCode, raw)
+	}
+	reg := s.Registry()
+	base, err := reg.Stat("iris")
+	if err != nil {
+		t.Fatal(err)
+	}
 	resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -637,12 +647,12 @@ func TestRequestTimeout503(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
-	stat, err := getServer(t, ts).Registry().Stat("iris")
+	stat, err := reg.Stat("iris")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stat.Metrics.TimedOut != 1 {
-		t.Fatalf("timed_out = %d, want 1", stat.Metrics.TimedOut)
+	if n := stat.Metrics.TimedOut - base.Metrics.TimedOut; n != 1 {
+		t.Fatalf("timed_out = %d, want 1", n)
 	}
 	if stat.RequestTimeout != "30ms" {
 		t.Fatalf("stat request_timeout = %q", stat.RequestTimeout)
