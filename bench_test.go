@@ -309,52 +309,19 @@ func BenchmarkSessionInfer(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineBatch measures the worker-pool batch engine over the
-// full Iris inference split (50 samples per op).
+// BenchmarkEngineBatch measures the worker-pool Runtime over the full
+// Iris inference split (50 samples per op) at several pool sizes.
 func BenchmarkEngineBatch(b *testing.B) {
 	experiments.Datasets()
 	iris := experiments.Datasets()[1]
+	ctx := context.Background()
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(sizeWorkers(workers), func(b *testing.B) {
-			e := NewEngine(QuantizeNetwork(iris.Net, emac.NewPosit(8, 0)), workers)
-			defer e.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.InferBatch(iris.Test.X)
-			}
-		})
-	}
-}
-
-func sizeWorkers(w int) string { return fmt.Sprintf("workers%d", w) }
-
-// BenchmarkRuntimeBatch measures the context-aware Runtime over the full
-// Iris inference split (50 samples per op), comparing the default
-// allocating batch path against WithSharedOutputs — the ROADMAP item
-// making dataset sweeps allocation-free end to end. Run with -benchmem:
-// the shared arm's allocs/op is the proof.
-func BenchmarkRuntimeBatch(b *testing.B) {
-	experiments.Datasets()
-	iris := experiments.Datasets()[1]
-	dp := QuantizeNetwork(iris.Net, emac.NewPosit(8, 0))
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name string
-		opts []RuntimeOption
-	}{
-		{"alloc", []RuntimeOption{WithWorkers(4), WithWarmTables()}},
-		{"shared-outputs", []RuntimeOption{WithWorkers(4), WithWarmTables(), WithSharedOutputs()}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			rt, err := NewRuntime(dp, mode.opts...)
+			rt, err := NewRuntime(QuantizeNetwork(iris.Net, emac.NewPosit(8, 0)), WithWorkers(workers))
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer rt.Close()
-			if _, err := rt.InferBatch(ctx, iris.Test.X); err != nil {
-				b.Fatal(err) // warm sessions and shared buffers
-			}
-			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := rt.InferBatch(ctx, iris.Test.X); err != nil {
@@ -363,6 +330,59 @@ func BenchmarkRuntimeBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+func sizeWorkers(w int) string { return fmt.Sprintf("workers%d", w) }
+
+// BenchmarkRuntimeBatch measures the context-aware Runtime over the full
+// Iris inference split (50 samples per op) two ways: Runtime.InferBatch,
+// which copies the logits out of its leased plane, and a batch computed
+// into one held plane — the path that makes dataset sweeps
+// allocation-free end to end. Run with -benchmem: the leased arm's
+// 0 allocs/op is the proof.
+func BenchmarkRuntimeBatch(b *testing.B) {
+	experiments.Datasets()
+	iris := experiments.Datasets()[1]
+	dp := QuantizeNetwork(iris.Net, emac.NewPosit(8, 0))
+	ctx := context.Background()
+	run := func(b *testing.B, infer func() error) {
+		if err := infer(); err != nil {
+			b.Fatal(err) // warm sessions and the plane
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := infer(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	newRuntime := func(b *testing.B) *Runtime {
+		rt, err := NewRuntime(dp, WithWorkers(4), WithWarmTables())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { rt.Close() })
+		return rt
+	}
+	b.Run("copy-out", func(b *testing.B) {
+		rt := newRuntime(b)
+		run(b, func() error {
+			_, err := rt.InferBatch(ctx, iris.Test.X)
+			return err
+		})
+	})
+	b.Run("leased-plane", func(b *testing.B) {
+		slot, err := newRuntime(b).AcquireFlushSlot(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer slot.Release()
+		run(b, func() error {
+			_, err := slot.InferBatch(ctx, iris.Test.X)
+			return err
+		})
+	})
 }
 
 // BenchmarkStreamInfer measures the cycle-level streaming simulator

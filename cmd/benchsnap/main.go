@@ -317,7 +317,7 @@ func main() {
 		peer.Close()
 	}
 	// FlushPipeline: sustained-load serving throughput through the
-	// micro-batcher over a shared-output runtime — 16 client goroutines
+	// micro-batcher over a leased-plane runtime — 16 client goroutines
 	// streaming single-sample inferences into a 200µs window (max batch
 	// 8), serialised flushes (depth 1, the pre-pipeline behaviour) vs the
 	// two-plane pipeline (depth 2: flush N computes while flush N−1's
@@ -328,8 +328,7 @@ func main() {
 	// scheduler-noise allowance applies there while multicore hosts —
 	// where the overlap is real — are held to the strict >=1x.
 	flushBench := func(name string, depth int) Result {
-		rt, err := engine.NewRuntime(dp,
-			engine.WithSharedOutputs(), engine.WithFlushPipeline(depth))
+		rt, err := engine.NewRuntime(dp, engine.WithFlushPipeline(depth))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchsnap:", err)
 			os.Exit(1)
@@ -427,42 +426,55 @@ func main() {
 		fmt.Println("benchsnap check: fused batch kernels, artifact load, and flush pipeline OK")
 		return
 	}
-	// Batch-engine bench: 256 inferences per op through the worker pool.
+	ctx := context.Background()
+	newRuntime := func(workers int) *engine.Runtime {
+		rt, err := engine.NewRuntime(dp, engine.WithWorkers(workers))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchsnap:", err)
+			os.Exit(1)
+		}
+		return rt
+	}
+	// Batch-engine bench: 256 inferences per op through the worker pool,
+	// logits copied out of the leased plane (Runtime.InferBatch).
 	for _, workers := range []int{1, 4} {
-		e := engine.New(dp, workers)
+		rt := newRuntime(workers)
 		snap.Results = append(snap.Results, measure(
 			fmt.Sprintf("EngineBatch256/posit(8,0)/workers%d", workers),
 			func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					e.InferBatch(batch)
+					if _, err := rt.InferBatch(ctx, batch); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}))
-		e.Close()
+		_ = rt.Close()
 	}
 	// Runtime worker-scaling bench, gated on a multicore host: the 1-CPU
 	// dev container measures ≈1.0× for any pool size, so emitting rows
 	// there would only record noise. On a host with GOMAXPROCS > 1 this
-	// produces the ROADMAP scaling record: shared-output batches (the 0
-	// allocs/op serving path) at 1, 2, 4, ... workers up to the CPU count.
+	// produces the ROADMAP scaling record: batches computed into one held
+	// plane (the 0 allocs/op serving path) at 1, 2, 4, ... workers up to
+	// the CPU count.
 	if procs := runtime.GOMAXPROCS(0); procs > 1 {
 		for workers := 1; workers <= procs; workers *= 2 {
-			rt, err := engine.NewRuntime(dp,
-				engine.WithWorkers(workers), engine.WithSharedOutputs())
+			rt := newRuntime(workers)
+			slot, err := rt.AcquireFlushSlot(ctx)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "benchsnap:", err)
 				os.Exit(1)
 			}
-			ctx := context.Background()
 			snap.Results = append(snap.Results, measure(
 				fmt.Sprintf("RuntimeBatch256/posit(8,0)/workers%d", workers),
 				func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := rt.InferBatch(ctx, batch); err != nil {
+						if _, err := slot.InferBatch(ctx, batch); err != nil {
 							b.Fatal(err)
 						}
 					}
 				}))
+			slot.Release()
 			_ = rt.Close()
 		}
 	} else {

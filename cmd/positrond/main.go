@@ -12,9 +12,10 @@
 //	          -request-timeout 2s
 //
 // -flush-pipeline sets the per-model flush-pipeline depth: that many
-// result planes per shared-output runtime, so the fused batch kernels
-// compute flush N while flush N−1's results demux and flush N+1
-// accumulates (1 serialises flushes end to end). -cost-aware makes the
+// result planes per runtime, so the fused batch kernels compute flush N
+// while flush N−1's results demux and flush N+1 accumulates (1
+// serialises flushes end to end). With -batch-window 0 every request is
+// its own batch, and each runtime gets at least one plane per worker. -cost-aware makes the
 // -max-inflight admission gate count samples instead of requests: an
 // explicit batch of n inputs claims n units, so mixed single/batch
 // traffic sheds in proportion to the compute it asks for.
@@ -172,7 +173,7 @@ func main() {
 	workers := flag.Int("workers", 0, "per-model inference worker count (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "per-model job queue depth (0 = 2x workers)")
 	batchWindow := flag.Duration("batch-window", registry.DefaultBatchWindow,
-		"micro-batching window: single inferences arriving within it share one batch; it caps the coalescing wait, and a request arriving after a full window of silence runs at once (0 disables)")
+		"micro-batching window: single inferences arriving within it share one batch; it caps the coalescing wait, and a request arriving after a full window of silence runs at once (0 disables). The cap is a Go runtime timer: an idle process wakes in whole milliseconds, so a flush can land up to ~1ms past the window")
 	maxBatch := flag.Int("max-batch", registry.DefaultMaxBatch,
 		"flush a coalesced batch at this size instead of waiting out the window")
 	flushPipeline := flag.Int("flush-pipeline", registry.DefaultFlushPipeline,

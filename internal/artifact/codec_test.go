@@ -3,7 +3,10 @@ package artifact
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -245,6 +248,72 @@ func TestWideWordWidths(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameInference(t, net, back, 25)
+}
+
+// TestDecodeRejectsNonFiniteCodes: for every arm whose format has a
+// non-finite encoding (posit NaR, minifloat Inf/NaN, float32 Inf/NaN),
+// a model carrying one as a weight or a bias fails to decode over both
+// codecs — ErrCorrupt wrapping core.ErrNonFinite for binary,
+// core.ErrNonFinite for JSON — while the same model without it loads.
+func TestDecodeRejectsNonFiniteCodes(t *testing.T) {
+	src := nn.NewMLP([]int{3, 4, 2}, rng.New(10))
+	float32NaN := emac.Code(math.Float32bits(float32(math.NaN())))
+	for _, c := range []struct {
+		arith emac.Arithmetic
+		code  emac.Code
+	}{
+		{emac.NewPosit(8, 0), 1 << 7},
+		{emac.NewPosit(16, 1), 1 << 15},
+		{emac.NewFloatN(8, 4), nonFiniteCode(t, emac.NewFloatN(8, 4))},
+		{emac.Float32Arith{}, emac.Code(math.Float32bits(float32(math.Inf(-1))))},
+		{emac.Float32Arith{}, float32NaN},
+	} {
+		for _, bias := range []bool{false, true} {
+			net := core.Quantize(src, c.arith)
+			if _, err := Decode(mustEncode(t, net)); err != nil {
+				t.Fatalf("%s: finite model rejected: %v", c.arith.Name(), err)
+			}
+			if bias {
+				net.Layers[1].B[1] = c.code
+			} else {
+				net.Layers[0].W[2][1] = c.code
+			}
+			if _, err := Decode(mustEncode(t, net)); !errors.Is(err, ErrCorrupt) || !errors.Is(err, core.ErrNonFinite) {
+				t.Fatalf("%s code %#x (bias %v): binary decode = %v, want ErrCorrupt wrapping ErrNonFinite",
+					c.arith.Name(), uint64(c.code), bias, err)
+			}
+			js, err := json.Marshal(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.ParseModel(js); !errors.Is(err, core.ErrNonFinite) {
+				t.Fatalf("%s code %#x (bias %v): JSON decode = %v, want ErrNonFinite",
+					c.arith.Name(), uint64(c.code), bias, err)
+			}
+		}
+	}
+}
+
+// nonFiniteCode returns the first code of an 8-bit arithmetic that
+// decodes to NaN or ±Inf.
+func nonFiniteCode(t *testing.T, a emac.Arithmetic) emac.Code {
+	t.Helper()
+	for c := emac.Code(0); c < 1<<8; c++ {
+		if v := a.Decode(c); math.IsNaN(v) || math.IsInf(v, 0) {
+			return c
+		}
+	}
+	t.Fatalf("%s has no non-finite code", a.Name())
+	return 0
+}
+
+func mustEncode(t *testing.T, m core.Model) []byte {
+	t.Helper()
+	b, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestDecodeRejectsHostileInput(t *testing.T) {

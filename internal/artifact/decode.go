@@ -68,7 +68,10 @@ func (r *reader) u32() (uint32, error) {
 // Decode parses a canonical binary artifact into its model. It is the
 // inverse of Encode and is safe on hostile input: malformed, truncated
 // or oversized-claim artifacts fail with an error (never a panic), and
-// allocations are bounded by the input length.
+// allocations are bounded by the input length. A weight or bias code
+// that decodes to NaN or ±Inf (posit NaR, minifloat or float32 Inf/NaN)
+// fails with ErrCorrupt wrapping core.ErrNonFinite, as the JSON codec
+// rejects it with core.ErrNonFinite.
 func Decode(data []byte) (core.Model, error) {
 	if !IsBinary(data) {
 		return nil, ErrNotBinary
@@ -251,6 +254,9 @@ func Decode(data []byte) (core.Model, error) {
 	}
 	if r.remaining() != 0 {
 		return nil, corruptf("%d trailing bytes", r.remaining())
+	}
+	if err := core.CheckFinite(layers, arithAt); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 
 	if kind == kindMixed {

@@ -2,8 +2,12 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
+	"reflect"
+	"sync"
 
 	"repro/internal/datasets"
 	"repro/internal/emac"
@@ -161,7 +165,78 @@ func decodeLayers(ljs []layerJSON, arithFor func(i int) emac.Arithmetic) ([]*Lay
 		}
 		layers = append(layers, l)
 	}
+	if err := CheckFinite(layers, arithFor); err != nil {
+		return nil, err
+	}
 	return layers, nil
+}
+
+// ErrNonFinite marks a parameter code that decodes to NaN or ±Inf:
+// posit NaR, a minifloat Inf/NaN, or a float32 Inf/NaN. Such a model
+// would load and then compute NaN on every input, so both artifact
+// codecs reject it at decode.
+var ErrNonFinite = errors.New("core: non-finite parameter code")
+
+// CheckFinite reports the first weight or bias of layers whose code
+// decodes to NaN or ±Inf under arithFor(i), the arithmetic of layer i.
+// The JSON and binary artifact decoders share it.
+func CheckFinite(layers []*Layer, arithFor func(i int) emac.Arithmetic) error {
+	for li, l := range layers {
+		a := arithFor(li)
+		table := nonFiniteTable(a)
+		for j, row := range l.W {
+			if i := firstNonFinite(a, table, row); i >= 0 {
+				return fmt.Errorf("%w: layer %d weight [%d][%d] code %#x", ErrNonFinite, li, j, i, uint64(row[i]))
+			}
+		}
+		if j := firstNonFinite(a, table, l.B); j >= 0 {
+			return fmt.Errorf("%w: layer %d bias %d code %#x", ErrNonFinite, li, j, uint64(l.B[j]))
+		}
+	}
+	return nil
+}
+
+// firstNonFinite returns the index of the first code in cs that decodes
+// to NaN or ±Inf under a, or -1. table, when non-nil, answers for a.
+func firstNonFinite(a emac.Arithmetic, table []bool, cs []emac.Code) int {
+	if table != nil {
+		for i, c := range cs {
+			if table[c] {
+				return i
+			}
+		}
+		return -1
+	}
+	for i, c := range cs {
+		if v := a.Decode(c); math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
+}
+
+// nonFiniteTables caches, per arithmetic, which codes of a format of at
+// most 16 bits decode to NaN or ±Inf. A decode costs tens of ns, so
+// scanning the code space once beats decoding every parameter of every
+// model loaded.
+var nonFiniteTables sync.Map // emac.Arithmetic → []bool
+
+// nonFiniteTable returns a's cached table, or nil above 16 bits or when
+// a cannot key a map (every arm in this repository can).
+func nonFiniteTable(a emac.Arithmetic) []bool {
+	if a.BitWidth() > 16 || !reflect.TypeOf(a).Comparable() {
+		return nil
+	}
+	if t, ok := nonFiniteTables.Load(a); ok {
+		return t.([]bool)
+	}
+	table := make([]bool, 1<<a.BitWidth())
+	for c := range table {
+		v := a.Decode(emac.Code(c))
+		table[c] = math.IsNaN(v) || math.IsInf(v, 0)
+	}
+	t, _ := nonFiniteTables.LoadOrStore(a, table)
+	return t.([]bool)
 }
 
 // encodeStand lowers an optional standardizer into the wire form.

@@ -170,7 +170,7 @@ func (s *Session) Infer(x []float64) []float64 {
 
 // InferInto is Infer with the logits decoded into a caller-provided
 // buffer (len must equal the network's output width): the allocation-free
-// inference path for dataset sweeps and shared-output batches.
+// inference path for dataset sweeps and leased-plane batches.
 func (s *Session) InferInto(dst []float64, x []float64) []float64 {
 	act := s.run(x)
 	if len(dst) != len(act) {

@@ -8,8 +8,7 @@
 // core.Model (uniform or mixed precision alike). It is configured with
 // functional options, observes context cancellation, and fails with
 // errors rather than panics on misuse. One layer up, internal/registry
-// serves many named Runtimes side by side with micro-batching; Engine is
-// the original batch-engine API, kept as a thin deprecated wrapper.
+// serves many named Runtimes side by side with micro-batching.
 package engine
 
 import (
@@ -36,44 +35,24 @@ var ErrClosed = errors.New("engine: runtime closed")
 // input must cost one request, never the daemon.
 var ErrPanic = errors.New("engine: inference panicked")
 
-// Result is one completed streaming inference.
-type Result struct {
-	// ID is the caller's identifier from Submit.
-	ID int
-	// Logits are the decoded output logits (nil when Err is set).
-	Logits []float64
-	// Class is the argmax class (lowest index wins ties); -1 when Err is
-	// set.
-	Class int
-	// Err reports an inference that failed inside the worker (a
-	// recovered model-kernel panic, wrapping ErrPanic).
-	Err error
-}
-
-// task is one unit of work. For a streaming task, x is the input and
-// dst (optional) is where the logits go: when dst is non-nil the worker
-// decodes into it (the allocation-free shared-output path), otherwise it
-// allocates the logits. When xs is non-nil the task is one fused batch
-// chunk instead: the worker runs the whole chunk through the inferer's
-// batched kernels in one InferBatchInto call, decoding into the flat
-// dstFlat window (len(xs) × output width). deliver is called exactly
-// once either way, with err set when the inference panicked.
+// task is one fused batch chunk: the worker runs xs through the
+// inferer's batched kernels in one InferBatchInto call, decoding into
+// dst (len(xs) × output width, a window of the slot's plane), then
+// reports to the slot. start is xs[0]'s index in the slot's batch.
 type task struct {
-	id      int
-	x       []float64
-	dst     []float64
-	xs      [][]float64
-	dstFlat []float64
-	deliver func(id int, logits []float64, err error)
+	start int
+	xs    [][]float64
+	dst   []float64
+	slot  *FlushSlot
 }
 
 // config collects the functional options.
 type config struct {
-	workers    int
-	queueDepth int
-	warmTables bool
-	sharedOut  bool
-	flushDepth int
+	workers        int
+	queueDepth     int
+	warmTables     bool
+	flushDepth     int
+	planePerWorker bool
 }
 
 // Option configures a Runtime at construction.
@@ -84,8 +63,8 @@ type Option func(*config)
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithQueueDepth sets the job-queue capacity; n <= 0 selects twice the
-// worker count (the default). Deeper queues let bursty Submit traffic
-// ride ahead of the pool at the cost of buffered latency.
+// worker count (the default). A deeper queue lets more batch chunks
+// wait for a worker at the cost of buffered latency.
 func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } }
 
 // WithWarmTables eagerly builds the posit decode and Mul/Add fast-path
@@ -93,33 +72,30 @@ func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } 
 // request pays the lazy table-construction latency.
 func WithWarmTables() Option { return func(c *config) { c.warmTables = true } }
 
-// WithSharedOutputs makes InferBatch decode logits into one runtime-owned
-// buffer that is reused across calls, making steady-state dataset sweeps
-// allocation-free end to end. The returned slices are valid only until
-// the next InferBatch call; shared-output batches are serialised
-// internally. Streaming Submit results are unaffected (every Result owns
-// its logits).
-func WithSharedOutputs() Option { return func(c *config) { c.sharedOut = true } }
-
-// WithFlushPipeline sets the number of flush-slot result planes a
-// shared-output runtime owns (see AcquireFlushSlot). With d planes, d
-// batch computations can be in flight at once — one plane computing
-// while another's readers still demultiplex — which is how the serving
-// micro-batcher overlaps collect/compute/demux instead of serialising
-// them end to end. d <= 1 keeps a single plane (flushes serialise on
-// it, the pre-pipeline behaviour). Without WithSharedOutputs the option
-// is inert.
+// WithFlushPipeline sets the number of leasable result planes (see
+// AcquireFlushSlot). With d planes, d batch computations can be in
+// flight at once — one plane computing while another's readers still
+// demultiplex — which is how the serving micro-batcher overlaps
+// collect/compute/demux instead of serialising them end to end. d <= 1
+// keeps a single plane: batches serialise on it.
 func WithFlushPipeline(d int) Option { return func(c *config) { c.flushDepth = d } }
 
+// WithPlanePerWorker raises the flush-pipeline depth to at least the
+// worker count, so as many concurrent InferBatch callers as there are
+// workers each hold a plane at once. It suits unbatched serving, where
+// every request is its own batch.
+func WithPlanePerWorker() Option { return func(c *config) { c.planePerWorker = true } }
+
 // Runtime is a context-aware worker-pool inference runtime over one
-// immutable Model. All methods are safe for concurrent use, including
-// Close: closing drains in-flight work, and submissions after Close
-// return ErrClosed.
+// immutable Model. Every inference runs the same way: lease one of the
+// runtime's result planes, compute the batch into it on the pool, copy
+// the logits out (or reduce them in place), release the plane. All
+// methods are safe for concurrent use, including Close: closing drains
+// in-flight work, and calls after Close return ErrClosed.
 type Runtime struct {
 	model   core.Model
 	workers int
 	jobs    chan task
-	results chan Result
 
 	wg sync.WaitGroup // workers
 
@@ -132,18 +108,8 @@ type Runtime struct {
 	// failed with ErrPanic; the worker survived).
 	panics atomic.Int64
 
-	// shared-output batch state (sharedBatch serialises those batches).
-	sharedOut     bool
-	sharedMu      sync.Mutex
-	sharedBuf     []float64
-	sharedHdrs    [][]float64
-	sharedWG      sync.WaitGroup
-	sharedErrMu   sync.Mutex
-	sharedErr     error
-	sharedDeliver func(id int, logits []float64, err error)
-
-	// flush pipeline: flushDepth leasable result planes (see
-	// AcquireFlushSlot). nil when the runtime is not shared-output.
+	// planes holds the flushDepth leasable result planes not currently
+	// leased (see AcquireFlushSlot).
 	flushDepth int
 	planes     chan *FlushSlot
 }
@@ -175,43 +141,19 @@ func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 			}
 		}
 	}
-	if cfg.flushDepth < 1 {
-		cfg.flushDepth = 1
+	cfg.flushDepth = max(cfg.flushDepth, 1)
+	if cfg.planePerWorker {
+		cfg.flushDepth = max(cfg.flushDepth, cfg.workers)
 	}
 	r := &Runtime{
-		model:     model,
-		workers:   cfg.workers,
-		jobs:      make(chan task, cfg.queueDepth),
-		results:   make(chan Result, cfg.queueDepth),
-		sharedOut: cfg.sharedOut,
+		model:      model,
+		workers:    cfg.workers,
+		jobs:       make(chan task, cfg.queueDepth),
+		flushDepth: cfg.flushDepth,
+		planes:     make(chan *FlushSlot, cfg.flushDepth),
 	}
-	if cfg.sharedOut {
-		r.flushDepth = cfg.flushDepth
-		r.planes = make(chan *FlushSlot, cfg.flushDepth)
-		for i := 0; i < cfg.flushDepth; i++ {
-			s := &FlushSlot{r: r}
-			s.deliver = func(id int, _ []float64, err error) {
-				if err != nil {
-					s.errMu.Lock()
-					if s.err == nil {
-						s.err = fmt.Errorf("engine: batch chunk at input %d: %w", id, err)
-					}
-					s.errMu.Unlock()
-				}
-				s.wg.Done()
-			}
-			r.planes <- s
-		}
-	}
-	r.sharedDeliver = func(id int, _ []float64, err error) {
-		if err != nil {
-			r.sharedErrMu.Lock()
-			if r.sharedErr == nil {
-				r.sharedErr = fmt.Errorf("engine: batch chunk at input %d: %w", id, err)
-			}
-			r.sharedErrMu.Unlock()
-		}
-		r.sharedWG.Done()
+	for i := 0; i < cfg.flushDepth; i++ {
+		r.planes <- &FlushSlot{r: r}
 	}
 	r.wg.Add(cfg.workers)
 	for w := 0; w < cfg.workers; w++ {
@@ -221,7 +163,7 @@ func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 }
 
 // worker drains the job queue through one private execution plane. A
-// model kernel that panics fails its own task with ErrPanic and costs
+// model kernel that panics fails its own chunk with ErrPanic and costs
 // this worker its inferer (the panic may have left scratch buffers
 // half-written, so a fresh one is built) — but never the worker, and
 // never the daemon.
@@ -229,31 +171,25 @@ func (r *Runtime) worker() {
 	defer r.wg.Done()
 	s := r.model.NewInferer()
 	for t := range r.jobs {
-		logits, err := runTask(s, t)
+		err := runChunk(s, t)
 		if err != nil {
 			r.panics.Add(1)
 			s = r.model.NewInferer()
 		}
-		t.deliver(t.id, logits, err)
+		t.slot.chunkDone(t.start, err)
 	}
 }
 
-// runTask executes one task — a fused batch chunk or one streaming
-// inference — converting a panic into an error.
-func runTask(s core.Inferer, t task) (logits []float64, err error) {
+// runChunk executes one fused batch chunk, converting a panic into an
+// error.
+func runChunk(s core.Inferer, t task) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			logits, err = nil, fmt.Errorf("%w: %v", ErrPanic, p)
+			err = fmt.Errorf("%w: %v", ErrPanic, p)
 		}
 	}()
-	if t.xs != nil {
-		s.InferBatchInto(t.dstFlat, t.xs)
-		return nil, nil
-	}
-	if t.dst != nil {
-		return s.InferInto(t.dst, t.x), nil
-	}
-	return s.Infer(t.x), nil
+	s.InferBatchInto(t.dst, t.xs)
+	return nil
 }
 
 // Model returns the model plane the runtime serves.
@@ -266,19 +202,14 @@ func (r *Runtime) Workers() int { return r.workers }
 // (WithQueueDepth, default twice the worker count).
 func (r *Runtime) QueueCap() int { return cap(r.jobs) }
 
-// QueueLen returns the current job-queue occupancy: inferences submitted
-// but not yet picked up by a worker. Together with QueueCap it is the
-// backpressure signal an admission layer reads to shed load instead of
-// letting requests queue without bound.
+// QueueLen returns the current job-queue occupancy: batch chunks
+// submitted but not yet picked up by a worker. Together with QueueCap it
+// is the backpressure signal an admission layer reads to shed load
+// instead of letting requests queue without bound.
 func (r *Runtime) QueueLen() int { return len(r.jobs) }
 
-// SharedOutputs reports whether the runtime was built with
-// WithSharedOutputs — callers then own the serialisation and copy-out of
-// InferBatch results.
-func (r *Runtime) SharedOutputs() bool { return r.sharedOut }
-
 // Panics returns how many inferences have panicked inside workers since
-// construction. Each one failed its own request with ErrPanic while the
+// construction. Each one failed its own batch with ErrPanic while the
 // worker survived; a nonzero value means some model kernel is unsound
 // for some inputs and deserves investigation.
 func (r *Runtime) Panics() int64 { return r.panics.Load() }
@@ -308,156 +239,28 @@ func (r *Runtime) enqueue(ctx context.Context, t task) error {
 	}
 }
 
-// batchChunk returns the fused-chunk size for a batch of n samples:
-// ceil(n / workers), so one batch spreads over the whole pool while
-// each worker runs its share as a single fused InferBatchInto call.
-func (r *Runtime) batchChunk(n int) int {
-	c := (n + r.workers - 1) / r.workers
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// InferBatch splits the batch into one fused chunk per worker and runs
-// each chunk through the inferer's batched layer kernels in a single
-// call, so every weight row is decoded once per chunk instead of once
-// per sample. Logits come back in input order, bit-identical to running
-// one core session serially (each sample's arithmetic is unchanged; only
-// the loop order differs). Cancelling ctx stops submission and returns
-// ctx.Err after every already-submitted chunk has drained — no worker is
-// left writing into the batch. Under WithSharedOutputs the returned
-// slices are valid only until the next InferBatch call.
-func (r *Runtime) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	for i, x := range xs {
-		if err := r.checkInput(x); err != nil {
-			return nil, fmt.Errorf("engine: batch input %d: %w", i, err)
-		}
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed {
-		return nil, ErrClosed
-	}
-	if r.sharedOut {
-		r.sharedMu.Lock()
-		defer r.sharedMu.Unlock()
-		return r.inferBatchShared(ctx, xs)
-	}
-	od := r.model.OutputDim()
-	buf := make([]float64, len(xs)*od)
-	out := make([][]float64, len(xs))
-	for i := range out {
-		out[i] = buf[i*od : (i+1)*od : (i+1)*od]
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	deliver := func(id int, _ []float64, err error) {
-		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("engine: batch chunk at input %d: %w", id, err)
-			}
-			errMu.Unlock()
-		}
-		wg.Done()
-	}
-	chunk := r.batchChunk(len(xs))
-	for start := 0; start < len(xs); start += chunk {
-		end := start + chunk
-		if end > len(xs) {
-			end = len(xs)
-		}
-		wg.Add(1)
-		t := task{id: start, xs: xs[start:end], dstFlat: buf[start*od : end*od], deliver: deliver}
-		if err := r.enqueue(ctx, t); err != nil {
-			wg.Done()
-			wg.Wait() // drain already-submitted work before returning
-			return nil, err
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// inferBatchShared is the allocation-free InferBatch arm: logits land in
-// a runtime-owned flat buffer reused across calls. Caller holds r.mu for
-// reading and r.sharedMu (the latter until it has finished consuming the
-// returned slices).
-func (r *Runtime) inferBatchShared(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	od := r.model.OutputDim()
-	if need := len(xs) * od; cap(r.sharedBuf) < need {
-		r.sharedBuf = make([]float64, need)
-	}
-	if cap(r.sharedHdrs) < len(xs) {
-		r.sharedHdrs = make([][]float64, len(xs))
-	}
-	hdrs := r.sharedHdrs[:len(xs)]
-	buf := r.sharedBuf[:len(xs)*od]
-	for i := range hdrs {
-		hdrs[i] = buf[i*od : (i+1)*od : (i+1)*od]
-	}
-	chunk := r.batchChunk(len(xs))
-	for start := 0; start < len(xs); start += chunk {
-		end := start + chunk
-		if end > len(xs) {
-			end = len(xs)
-		}
-		r.sharedWG.Add(1)
-		t := task{id: start, xs: xs[start:end], dstFlat: buf[start*od : end*od], deliver: r.sharedDeliver}
-		if err := r.enqueue(ctx, t); err != nil {
-			r.sharedWG.Done()
-			r.sharedWG.Wait()
-			r.sharedErr = nil // delivered chunks may have panicked; the ctx error wins
-			return nil, err
-		}
-	}
-	r.sharedWG.Wait()
-	// sharedWG.Wait orders every sharedDeliver write before this read, and
-	// the caller holds sharedMu, so the reset cannot race the next batch.
-	if err := r.sharedErr; err != nil {
-		r.sharedErr = nil
-		return nil, err
-	}
-	return hdrs, nil
-}
-
-// FlushSlot is one leased result plane of a shared-output runtime's
-// flush pipeline: a runtime-owned flat logits buffer plus the machinery
-// to run one batch into it. Between AcquireFlushSlot and Release the
-// plane belongs to the holder alone, so a second slot's InferBatch can
-// compute while this slot's results are still being read — the
-// serving-plane analogue of the paper's accelerator keeping its EMAC
-// pipeline full across windows. A FlushSlot is single-owner: its
-// methods must not be called concurrently.
+// FlushSlot is one leased result plane: a runtime-owned flat logits
+// buffer plus the machinery to run one batch into it. Between
+// AcquireFlushSlot and Release the plane belongs to the holder alone, so
+// a second slot's InferBatch can compute while this slot's results are
+// still being read — the serving-plane analogue of the paper's
+// accelerator keeping its EMAC pipeline full across windows. A FlushSlot
+// is single-owner: its methods must not be called concurrently.
 type FlushSlot struct {
-	r       *Runtime
-	buf     []float64
-	hdrs    [][]float64
-	wg      sync.WaitGroup
-	errMu   sync.Mutex
-	err     error
-	deliver func(id int, logits []float64, err error)
+	r     *Runtime
+	buf   []float64
+	rows  [][]float64
+	wg    sync.WaitGroup
+	errMu sync.Mutex
+	err   error
 }
 
-// FlushPipelineDepth returns the number of flush-slot result planes (0
-// when the runtime was not built with WithSharedOutputs).
+// FlushPipelineDepth returns the number of result planes.
 func (r *Runtime) FlushPipelineDepth() int { return r.flushDepth }
 
-// FlushSlotsInUse returns how many flush slots are currently leased —
+// FlushSlotsInUse returns how many result planes are currently leased —
 // the live pipeline-depth gauge the serving metrics report.
-func (r *Runtime) FlushSlotsInUse() int {
-	if r.planes == nil {
-		return 0
-	}
-	return r.flushDepth - len(r.planes)
-}
+func (r *Runtime) FlushSlotsInUse() int { return r.flushDepth - len(r.planes) }
 
 // AcquireFlushSlot leases one result plane, blocking while all
 // FlushPipelineDepth planes are held (backpressure: the pipeline is
@@ -465,9 +268,6 @@ func (r *Runtime) FlushSlotsInUse() int {
 // successors). It unblocks with ctx.Err on cancellation and fails with
 // ErrClosed after Close. Callers must Release the slot exactly once.
 func (r *Runtime) AcquireFlushSlot(ctx context.Context) (*FlushSlot, error) {
-	if r.planes == nil {
-		return nil, errors.New("engine: flush slots require WithSharedOutputs")
-	}
 	r.mu.RLock()
 	closed := r.closed
 	r.mu.RUnlock()
@@ -492,13 +292,29 @@ func (r *Runtime) AcquireFlushSlot(ctx context.Context) (*FlushSlot, error) {
 // from this point. Release exactly once per acquisition.
 func (s *FlushSlot) Release() { s.r.planes <- s }
 
-// InferBatch runs one batch through the runtime's worker pool, decoding
-// logits into this slot's plane. It is Runtime.InferBatch with the
-// plane lease replacing the internal serialisation: results are valid
-// until Release (or the slot's next InferBatch), bit-identical to a
-// serial session, and other slots' in-flight batches are unaffected.
-// Cancelling ctx stops submission and returns ctx.Err after every
-// already-submitted chunk has drained.
+// chunkDone records one finished chunk of the slot's batch.
+func (s *FlushSlot) chunkDone(start int, err error) {
+	if err != nil {
+		s.errMu.Lock()
+		if s.err == nil {
+			s.err = fmt.Errorf("engine: batch chunk at input %d: %w", start, err)
+		}
+		s.errMu.Unlock()
+	}
+	s.wg.Done()
+}
+
+// InferBatch splits the batch into one fused chunk per worker, runs each
+// chunk through the inferer's batched layer kernels in a single call (so
+// every weight row is decoded once per chunk instead of once per
+// sample), and decodes the logits into this slot's plane. Rows come back
+// in input order, bit-identical to running one core session serially:
+// each sample's arithmetic is unchanged, only the loop order differs.
+// They stay valid until Release or the slot's next InferBatch, and
+// other slots' in-flight batches never touch them. Once the plane has
+// grown to the batch size, a call allocates nothing. Cancelling ctx
+// stops submission and returns ctx.Err after every already-submitted
+// chunk has drained — no worker is left writing into the plane.
 func (s *FlushSlot) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	r := s.r
 	for i, x := range xs {
@@ -515,22 +331,19 @@ func (s *FlushSlot) InferBatch(ctx context.Context, xs [][]float64) ([][]float64
 	if need := len(xs) * od; cap(s.buf) < need {
 		s.buf = make([]float64, need)
 	}
-	if cap(s.hdrs) < len(xs) {
-		s.hdrs = make([][]float64, len(xs))
+	if cap(s.rows) < len(xs) {
+		s.rows = make([][]float64, len(xs))
 	}
-	hdrs := s.hdrs[:len(xs)]
+	rows := s.rows[:len(xs)]
 	buf := s.buf[:len(xs)*od]
-	for i := range hdrs {
-		hdrs[i] = buf[i*od : (i+1)*od : (i+1)*od]
+	for i := range rows {
+		rows[i] = buf[i*od : (i+1)*od : (i+1)*od]
 	}
-	chunk := r.batchChunk(len(xs))
+	chunk := max((len(xs)+r.workers-1)/r.workers, 1)
 	for start := 0; start < len(xs); start += chunk {
-		end := start + chunk
-		if end > len(xs) {
-			end = len(xs)
-		}
+		end := min(start+chunk, len(xs))
 		s.wg.Add(1)
-		t := task{id: start, xs: xs[start:end], dstFlat: buf[start*od : end*od], deliver: s.deliver}
+		t := task{start: start, xs: xs[start:end], dst: buf[start*od : end*od], slot: s}
 		if err := r.enqueue(ctx, t); err != nil {
 			s.wg.Done()
 			s.wg.Wait()
@@ -539,54 +352,68 @@ func (s *FlushSlot) InferBatch(ctx context.Context, xs [][]float64) ([][]float64
 		}
 	}
 	s.wg.Wait()
-	// wg.Wait orders every deliver write before this read, and the slot
+	// wg.Wait orders every chunkDone write before this read, and the slot
 	// is single-owner, so the reset cannot race the slot's next batch.
 	if err := s.err; err != nil {
 		s.err = nil
 		return nil, err
 	}
-	return hdrs, nil
+	return rows, nil
 }
 
-// PredictBatch runs every input through the pool and returns the argmax
-// classes in input order. It shares InferBatch's contract: context
-// cancellation drains already-submitted work before returning, and after
-// Close it fails with ErrClosed. Under WithSharedOutputs it consumes the
-// shared logits buffer while still holding its lock, so concurrent
-// PredictBatch and Accuracy calls never read another batch's logits.
-func (r *Runtime) PredictBatch(ctx context.Context, xs [][]float64) ([]int, error) {
-	if !r.sharedOut {
-		logits, err := r.InferBatch(ctx, xs)
-		if err != nil {
-			return nil, err
+// leased runs one batch the Runtime's one way: lease a plane, compute xs
+// into it, hand its rows to use, release the plane.
+func (r *Runtime) leased(ctx context.Context, xs [][]float64, use func(rows [][]float64)) error {
+	s, err := r.AcquireFlushSlot(ctx)
+	if err != nil {
+		return err
+	}
+	defer s.Release()
+	rows, err := s.InferBatch(ctx, xs)
+	if err != nil {
+		return err
+	}
+	use(rows)
+	return nil
+}
+
+// InferBatch runs the batch through a leased plane and returns the
+// logits in input order, copied into one caller-owned allocation before
+// the plane is released. Concurrent calls each lease their own plane;
+// beyond FlushPipelineDepth they wait for one. Cancellation and Close
+// behave as in FlushSlot.InferBatch.
+func (r *Runtime) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
+	var out [][]float64
+	err := r.leased(ctx, xs, func(rows [][]float64) {
+		od := r.model.OutputDim()
+		flat := make([]float64, len(rows)*od)
+		out = make([][]float64, len(rows))
+		for i, row := range rows {
+			out[i] = flat[i*od : (i+1)*od : (i+1)*od]
+			copy(out[i], row)
 		}
-		return argmaxAll(logits), nil
-	}
-	for i, x := range xs {
-		if err := r.checkInput(x); err != nil {
-			return nil, fmt.Errorf("engine: batch input %d: %w", i, err)
-		}
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed {
-		return nil, ErrClosed
-	}
-	r.sharedMu.Lock()
-	defer r.sharedMu.Unlock()
-	logits, err := r.inferBatchShared(ctx, xs)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return argmaxAll(logits), nil
+	return out, nil
 }
 
-func argmaxAll(logits [][]float64) []int {
-	classes := make([]int, len(logits))
-	for i, l := range logits {
-		classes[i] = nn.Argmax(l)
+// PredictBatch runs the batch through a leased plane and returns the
+// argmax classes in input order, reduced from the plane in place.
+// Cancellation and Close behave as in InferBatch.
+func (r *Runtime) PredictBatch(ctx context.Context, xs [][]float64) ([]int, error) {
+	var classes []int
+	err := r.leased(ctx, xs, func(rows [][]float64) {
+		classes = make([]int, len(rows))
+		for i, row := range rows {
+			classes[i] = nn.Argmax(row)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return classes
+	return classes, nil
 }
 
 // Accuracy evaluates classification accuracy over a dataset with the
@@ -607,38 +434,9 @@ func (r *Runtime) Accuracy(ctx context.Context, ds *datasets.Dataset) (float64, 
 	return float64(correct) / float64(ds.Len()), nil
 }
 
-// Submit enqueues one streaming inference; its Result (tagged with id)
-// arrives on the Results channel in completion order. Submit blocks while
-// the queue is saturated — callers must drain Results concurrently — and
-// unblocks with ctx.Err when the context is cancelled first. After Close
-// it returns ErrClosed.
-func (r *Runtime) Submit(ctx context.Context, id int, x []float64) error {
-	if err := r.checkInput(x); err != nil {
-		return err
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed {
-		return ErrClosed
-	}
-	return r.enqueue(ctx, task{id: id, x: x, deliver: r.deliverResult})
-}
-
-// deliverResult is the streaming delivery path (one shared func value so
-// Submit allocates no closure per call).
-func (r *Runtime) deliverResult(id int, logits []float64, err error) {
-	if err != nil {
-		r.results <- Result{ID: id, Class: -1, Err: err}
-		return
-	}
-	r.results <- Result{ID: id, Logits: logits, Class: nn.Argmax(logits)}
-}
-
-// Close stops accepting work, waits for every in-flight inference and
-// closes the Results channel — results submitted before Close are never
-// dropped. Close is idempotent and safe to call concurrently with
-// Submit/InferBatch: late producers observe ErrClosed. Callers streaming
-// with Submit must keep draining Results until it closes.
+// Close stops accepting work and waits for every in-flight chunk to
+// finish. It is idempotent and safe to call concurrently with
+// InferBatch: late callers observe ErrClosed.
 func (r *Runtime) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -651,92 +449,5 @@ func (r *Runtime) Close() error {
 	// with closed == false, and the write lock above waited them out.
 	close(r.jobs)
 	r.wg.Wait()
-	close(r.results)
 	return nil
 }
-
-// Results returns the streaming output channel. It is closed by Close
-// after every in-flight inference has delivered.
-func (r *Runtime) Results() <-chan Result { return r.results }
-
-// --- deprecated batch-engine wrapper ---
-
-// Engine is the original worker-pool batch-inference API over a uniform
-// network.
-//
-// Deprecated: use Runtime via NewRuntime for direct batch inference, or
-// a registry.Registry when serving models behind names — both serve
-// mixed-precision models, observe context cancellation and return errors
-// instead of panicking. Engine remains as a source-compatible shim.
-type Engine struct {
-	rt  *Runtime
-	net *core.Network
-}
-
-// New starts an engine with the given number of workers over one
-// immutable network; workers <= 0 selects GOMAXPROCS.
-//
-// Deprecated: use NewRuntime.
-func New(net *core.Network, workers int) *Engine {
-	rt, err := NewRuntime(net, WithWorkers(workers))
-	if err != nil {
-		panic(err)
-	}
-	return &Engine{rt: rt, net: net}
-}
-
-// Runtime returns the runtime backing this engine.
-func (e *Engine) Runtime() *Runtime { return e.rt }
-
-// Network returns the model plane the engine serves.
-func (e *Engine) Network() *core.Network { return e.net }
-
-// Workers returns the pool size.
-func (e *Engine) Workers() int { return e.rt.Workers() }
-
-// InferBatch runs every input through the pool and returns the logits in
-// input order. It panics when the batch is rejected (closed engine or
-// misshapen inputs) — use Runtime.InferBatch for the error-returning,
-// cancellable form.
-func (e *Engine) InferBatch(xs [][]float64) [][]float64 {
-	out, err := e.rt.InferBatch(context.Background(), xs)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// PredictBatch runs every input through the pool and returns the argmax
-// classes in input order.
-func (e *Engine) PredictBatch(xs [][]float64) []int {
-	classes, err := e.rt.PredictBatch(context.Background(), xs)
-	if err != nil {
-		panic(err)
-	}
-	return classes
-}
-
-// Accuracy evaluates classification accuracy over a dataset with the
-// whole pool.
-func (e *Engine) Accuracy(ds *datasets.Dataset) float64 {
-	acc, err := e.rt.Accuracy(context.Background(), ds)
-	if err != nil {
-		panic(err)
-	}
-	return acc
-}
-
-// Submit enqueues one streaming inference. Unlike the original Engine,
-// submitting after Close returns ErrClosed instead of panicking.
-func (e *Engine) Submit(id int, x []float64) error {
-	return e.rt.Submit(context.Background(), id, x)
-}
-
-// Results returns the streaming output channel (closed by Close after
-// in-flight work drains).
-func (e *Engine) Results() <-chan Result { return e.rt.Results() }
-
-// Close stops accepting work, waits for in-flight inferences and closes
-// the Results channel. Idempotent and safe to call concurrently with
-// Submit (late submissions observe ErrClosed).
-func (e *Engine) Close() { _ = e.rt.Close() }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -31,19 +32,38 @@ func fixture(a emac.Arithmetic, samples int) (*core.Network, *datasets.Dataset) 
 	return net, ds
 }
 
+// newRuntime starts a runtime over model and closes it with the test.
+func newRuntime(t *testing.T, model core.Model, opts ...Option) *Runtime {
+	t.Helper()
+	rt, err := NewRuntime(model, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	return rt
+}
+
+// serial runs every input through one core session: the ground truth
+// every pooled result must match bit for bit.
+func serial(net *core.Network, xs [][]float64) [][]float64 {
+	s := net.NewSession()
+	want := make([][]float64, len(xs))
+	for i, x := range xs {
+		want[i] = s.Infer(x)
+	}
+	return want
+}
+
 func TestInferBatchMatchesSerial(t *testing.T) {
 	for _, a := range []emac.Arithmetic{
 		emac.NewPosit(8, 0), emac.NewFloatN(8, 4), emac.NewFixed(8, 4), emac.Float32Arith{},
 	} {
 		net, ds := fixture(a, 200)
-		want := make([][]float64, len(ds.X))
-		s := net.NewSession()
-		for i, x := range ds.X {
-			want[i] = s.Infer(x)
+		want := serial(net, ds.X)
+		got, err := newRuntime(t, net, WithWorkers(8)).InferBatch(context.Background(), ds.X)
+		if err != nil {
+			t.Fatal(err)
 		}
-		e := New(net, 8)
-		got := e.InferBatch(ds.X)
-		e.Close()
 		for i := range got {
 			for j := range got[i] {
 				if got[i][j] != want[i][j] {
@@ -56,71 +76,35 @@ func TestInferBatchMatchesSerial(t *testing.T) {
 
 func TestAccuracyMatchesCore(t *testing.T) {
 	net, ds := fixture(emac.NewPosit(8, 0), 300)
-	e := New(net, 0) // GOMAXPROCS workers
-	defer e.Close()
-	if e.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("workers = %d", e.Workers())
+	rt := newRuntime(t, net) // GOMAXPROCS workers
+	if rt.Workers() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workers = %d", rt.Workers())
 	}
-	if got, want := e.Accuracy(ds), net.Accuracy(ds); got != want {
-		t.Fatalf("engine accuracy %v != core accuracy %v", got, want)
+	got, err := rt.Accuracy(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestStreaming(t *testing.T) {
-	net, ds := fixture(emac.NewFixed(8, 4), 100)
-	want := make([][]float64, len(ds.X))
-	s := net.NewSession()
-	for i, x := range ds.X {
-		want[i] = s.Infer(x)
-	}
-	e := New(net, 4)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	seen := make([]bool, len(ds.X))
-	go func() {
-		defer wg.Done()
-		for res := range e.Results() {
-			if seen[res.ID] {
-				t.Errorf("duplicate result id %d", res.ID)
-			}
-			seen[res.ID] = true
-			for j := range res.Logits {
-				if res.Logits[j] != want[res.ID][j] {
-					t.Errorf("id %d logit %d: %v != %v", res.ID, j, res.Logits[j], want[res.ID][j])
-				}
-			}
-			if res.Class != nn.Argmax(want[res.ID]) {
-				t.Errorf("id %d class %d", res.ID, res.Class)
-			}
-		}
-	}()
-	for i, x := range ds.X {
-		e.Submit(i, x)
-	}
-	e.Close() // drains in-flight work, closes Results
-	wg.Wait()
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("result %d never arrived", i)
-		}
+	if want := net.Accuracy(ds); got != want {
+		t.Fatalf("runtime accuracy %v != core accuracy %v", got, want)
 	}
 }
 
+// TestConcurrentBatches: more concurrent callers than planes queue for
+// a lease, and every caller's copied-out logits are its own.
 func TestConcurrentBatches(t *testing.T) {
 	net, ds := fixture(emac.NewFloatN(8, 4), 60)
-	s := net.NewSession()
-	want := make([][]float64, len(ds.X))
-	for i, x := range ds.X {
-		want[i] = s.Infer(x)
-	}
-	e := New(net, 4)
-	defer e.Close()
+	want := serial(net, ds.X)
+	rt := newRuntime(t, net, WithWorkers(4), WithFlushPipeline(2))
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := e.InferBatch(ds.X)
+			got, err := rt.InferBatch(context.Background(), ds.X)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			for i := range got {
 				for j := range got[i] {
 					if got[i][j] != want[i][j] {
@@ -136,10 +120,14 @@ func TestConcurrentBatches(t *testing.T) {
 
 func TestCloseIdempotent(t *testing.T) {
 	net, _ := fixture(emac.NewPosit(8, 0), 1)
-	e := New(net, 2)
-	e.Close()
-	e.Close() // second close must not panic
-	if _, ok := <-e.Results(); ok {
-		t.Fatal("results channel open after Close")
+	rt, err := NewRuntime(net, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil { // second close must not panic
+		t.Fatalf("second Close = %v", err)
 	}
 }

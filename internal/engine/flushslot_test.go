@@ -15,18 +15,29 @@ import (
 	"repro/internal/emac"
 )
 
-func TestAcquireFlushSlotRequiresSharedOutputs(t *testing.T) {
+// TestEveryRuntimeHasFlushSlots: a runtime built with no pipeline
+// option leases one plane; WithPlanePerWorker raises the depth to the
+// worker count but never lowers a deeper configured pipeline.
+func TestEveryRuntimeHasFlushSlots(t *testing.T) {
 	net, _ := fixture(emac.NewPosit(8, 0), 1)
-	rt, err := NewRuntime(net, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	if _, err := rt.AcquireFlushSlot(context.Background()); err == nil {
-		t.Fatal("AcquireFlushSlot on a non-shared runtime succeeded")
-	}
-	if d := rt.FlushPipelineDepth(); d != 0 {
-		t.Fatalf("FlushPipelineDepth = %d on a non-shared runtime, want 0", d)
+	for _, c := range []struct {
+		opts []Option
+		want int
+	}{
+		{nil, 1},
+		{[]Option{WithWorkers(3), WithPlanePerWorker()}, 3},
+		{[]Option{WithWorkers(3), WithFlushPipeline(5), WithPlanePerWorker()}, 5},
+		{[]Option{WithWorkers(3), WithFlushPipeline(2)}, 2},
+	} {
+		rt := newRuntime(t, net, c.opts...)
+		if d := rt.FlushPipelineDepth(); d != c.want {
+			t.Fatalf("FlushPipelineDepth = %d, want %d", d, c.want)
+		}
+		s, err := rt.AcquireFlushSlot(context.Background())
+		if err != nil {
+			t.Fatalf("AcquireFlushSlot: %v", err)
+		}
+		s.Release()
 	}
 }
 
@@ -35,7 +46,7 @@ func TestAcquireFlushSlotRequiresSharedOutputs(t *testing.T) {
 // and the in-use gauge tracks each lease.
 func TestFlushSlotsDistinctToDepth(t *testing.T) {
 	net, _ := fixture(emac.NewPosit(8, 0), 1)
-	rt, err := NewRuntime(net, WithWorkers(1), WithSharedOutputs(), WithFlushPipeline(3))
+	rt, err := NewRuntime(net, WithWorkers(1), WithFlushPipeline(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +81,7 @@ func TestFlushSlotsDistinctToDepth(t *testing.T) {
 // or its context's cancellation (ctx.Err).
 func TestAcquireFlushSlotBlocksAndCancels(t *testing.T) {
 	net, _ := fixture(emac.NewPosit(8, 0), 1)
-	rt, err := NewRuntime(net, WithWorkers(1), WithSharedOutputs(), WithFlushPipeline(1))
+	rt, err := NewRuntime(net, WithWorkers(1), WithFlushPipeline(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +128,7 @@ func TestFlushSlotPingPongIndependence(t *testing.T) {
 	for i, x := range ds.X {
 		want[i] = s.Infer(x)
 	}
-	rt, err := NewRuntime(net, WithWorkers(2), WithSharedOutputs(), WithFlushPipeline(2))
+	rt, err := NewRuntime(net, WithWorkers(2), WithFlushPipeline(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +174,7 @@ func TestFlushSlotPingPongIndependence(t *testing.T) {
 
 func TestAcquireFlushSlotAfterClose(t *testing.T) {
 	net, _ := fixture(emac.NewPosit(8, 0), 1)
-	rt, err := NewRuntime(net, WithWorkers(1), WithSharedOutputs(), WithFlushPipeline(2))
+	rt, err := NewRuntime(net, WithWorkers(1), WithFlushPipeline(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,48 +83,46 @@ func TestWorkerSurvivesPanic(t *testing.T) {
 	}
 }
 
-func TestSharedOutputBatchSurfacesPanic(t *testing.T) {
-	rt, err := NewRuntime(panicModel{}, WithWorkers(2), WithSharedOutputs())
+// TestLeasedBatchSurfacesPanic: a poisoned sample inside a leased
+// plane's batch fails that batch with ErrPanic and is counted; the error
+// does not leak into the plane's next batch, and the next batch on the
+// same runtime succeeds.
+func TestLeasedBatchSurfacesPanic(t *testing.T) {
+	rt, err := NewRuntime(panicModel{}, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 
-	if _, err := rt.InferBatch(context.Background(), [][]float64{{1, 2}, {-1, 0}}); !errors.Is(err, ErrPanic) {
-		t.Fatalf("shared-output poisoned batch: err = %v, want ErrPanic", err)
-	}
-	// The panic error must not leak into the next (clean) batch.
-	out, err := rt.InferBatch(context.Background(), [][]float64{{7, 8}})
+	slot, err := rt.AcquireFlushSlot(context.Background())
 	if err != nil {
-		t.Fatalf("clean shared batch after panic: %v", err)
+		t.Fatal(err)
+	}
+	if _, err := slot.InferBatch(context.Background(), [][]float64{{1, 2}, {-1, 0}}); !errors.Is(err, ErrPanic) {
+		t.Fatalf("poisoned leased batch: err = %v, want ErrPanic", err)
+	}
+	if n := rt.Panics(); n != 1 {
+		t.Fatalf("Panics = %d, want 1", n)
+	}
+	out, err := slot.InferBatch(context.Background(), [][]float64{{7, 8}})
+	if err != nil {
+		t.Fatalf("clean batch on the same plane after panic: %v", err)
 	}
 	if out[0][0] != 7 {
-		t.Fatalf("clean shared batch corrupted: %v", out)
+		t.Fatalf("clean batch corrupted: %v", out)
 	}
-}
+	slot.Release()
 
-func TestStreamingResultCarriesPanic(t *testing.T) {
-	rt, err := NewRuntime(panicModel{}, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
+	// Through the copy-out path too: the poisoned batch fails, the next
+	// one on the same runtime succeeds.
+	if _, err := rt.InferBatch(context.Background(), [][]float64{{-1, 0}, {3, 4}}); !errors.Is(err, ErrPanic) {
+		t.Fatalf("poisoned InferBatch: err = %v, want ErrPanic", err)
 	}
-	if err := rt.Submit(context.Background(), 1, []float64{-1, 0}); err != nil {
-		t.Fatal(err)
+	if n := rt.Panics(); n != 2 {
+		t.Fatalf("Panics = %d, want 2", n)
 	}
-	if err := rt.Submit(context.Background(), 2, []float64{9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	_ = rt.Close()
-	var sawErr, sawOK bool
-	for res := range rt.Results() {
-		switch res.ID {
-		case 1:
-			sawErr = errors.Is(res.Err, ErrPanic) && res.Class == -1 && res.Logits == nil
-		case 2:
-			sawOK = res.Err == nil && res.Logits[0] == 9
-		}
-	}
-	if !sawErr || !sawOK {
-		t.Fatalf("streaming panic demux wrong: sawErr=%v sawOK=%v", sawErr, sawOK)
+	got, err := rt.InferBatch(context.Background(), [][]float64{{9, 9}})
+	if err != nil || got[0][0] != 9 {
+		t.Fatalf("clean InferBatch after panic = %v, %v", got, err)
 	}
 }

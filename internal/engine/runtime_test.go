@@ -2,8 +2,9 @@ package engine
 
 // Runtime contract tests: lifecycle (close drains, submit-after-close
 // errors), context cancellation, mixed-precision serving and the
-// shared-output batch path. CI runs this file under -race, which is the
-// point of the lifecycle tests — they hammer Submit/Close concurrently.
+// leased-plane batch path. CI runs this file under -race, which is the
+// point of the lifecycle tests — they hammer InferBatch/Close
+// concurrently.
 
 import (
 	"context"
@@ -64,6 +65,8 @@ func TestQueueOccupancy(t *testing.T) {
 	}
 }
 
+// TestSubmitAfterCloseErrorsNotPanics: every way of submitting a batch
+// after Close fails with ErrClosed.
 func TestSubmitAfterCloseErrorsNotPanics(t *testing.T) {
 	net, ds := fixture(emac.NewPosit(8, 0), 1)
 	rt, err := NewRuntime(net, WithWorkers(2))
@@ -73,11 +76,11 @@ func TestSubmitAfterCloseErrorsNotPanics(t *testing.T) {
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Submit(context.Background(), 0, ds.X[0]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
-	}
 	if _, err := rt.InferBatch(context.Background(), ds.X); !errors.Is(err, ErrClosed) {
 		t.Fatalf("InferBatch after Close = %v, want ErrClosed", err)
+	}
+	if _, err := rt.PredictBatch(context.Background(), ds.X); !errors.Is(err, ErrClosed) {
+		t.Fatalf("PredictBatch after Close = %v, want ErrClosed", err)
 	}
 	if err := rt.Close(); err != nil {
 		t.Fatalf("second Close = %v", err)
@@ -85,40 +88,42 @@ func TestSubmitAfterCloseErrorsNotPanics(t *testing.T) {
 }
 
 // TestCloseDrainsInFlightStreaming closes the runtime while many
-// goroutines are still submitting: every submission that was accepted
-// must produce exactly one result before Results closes, and late
-// submissions must observe ErrClosed rather than panic. Run under -race
-// this is the lifecycle stress the old Engine forbade ("do not call
-// Close concurrently with Submit").
+// goroutines are still streaming batches into it: every batch that was
+// accepted must come back complete and bit-identical, and late batches
+// must observe ErrClosed rather than panic. Run under -race this is the
+// lifecycle stress of Close racing producers.
 func TestCloseDrainsInFlightStreaming(t *testing.T) {
 	net, ds := fixture(emac.NewFixed(8, 4), 64)
-	rt, err := NewRuntime(net, WithWorkers(4), WithQueueDepth(8))
+	want := serial(net, ds.X)
+	rt, err := NewRuntime(net, WithWorkers(4), WithQueueDepth(8), WithFlushPipeline(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var accepted, rejected, received atomic.Int64
-	var consumers sync.WaitGroup
-	consumers.Add(1)
-	go func() {
-		defer consumers.Done()
-		for range rt.Results() {
-			received.Add(1)
-		}
-	}()
+	var accepted, rejected atomic.Int64
 	var producers sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		producers.Add(1)
 		go func(g int) {
 			defer producers.Done()
-			for i := 0; i < 200; i++ {
-				err := rt.Submit(context.Background(), g*1000+i, ds.X[i%len(ds.X)])
+			for i := 0; i < 50; i++ {
+				lo := (g + i) % len(ds.X)
+				hi := min(lo+8, len(ds.X))
+				got, err := rt.InferBatch(context.Background(), ds.X[lo:hi])
 				switch {
 				case err == nil:
 					accepted.Add(1)
+					for k := range got {
+						for j := range got[k] {
+							if got[k][j] != want[lo+k][j] {
+								t.Errorf("accepted batch sample %d diverged", lo+k)
+								return
+							}
+						}
+					}
 				case errors.Is(err, ErrClosed):
 					rejected.Add(1)
 				default:
-					t.Errorf("Submit: %v", err)
+					t.Errorf("InferBatch: %v", err)
 					return
 				}
 			}
@@ -129,22 +134,14 @@ func TestCloseDrainsInFlightStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	producers.Wait()
-	consumers.Wait() // Results closed — all deliveries done
-	if got, want := received.Load(), accepted.Load(); got != want {
-		t.Fatalf("received %d results for %d accepted submissions", got, want)
-	}
 	if accepted.Load() == 0 {
-		t.Fatal("no submission was accepted before Close")
+		t.Fatal("no batch was accepted before Close")
 	}
 }
 
 func TestInferBatchObservesCancellation(t *testing.T) {
 	net, ds := fixture(emac.NewPosit(8, 0), 32)
-	rt, err := NewRuntime(net, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, net, WithWorkers(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := rt.InferBatch(ctx, ds.X); !errors.Is(err, context.Canceled) {
@@ -157,37 +154,28 @@ func TestInferBatchObservesCancellation(t *testing.T) {
 	}
 }
 
-// TestSubmitObservesCancellation saturates the queue (no consumer
-// draining Results) and verifies a blocked Submit unblocks with the
-// context error.
+// TestSubmitObservesCancellation holds every plane, so a submitted
+// batch waits for a lease, and verifies the wait unblocks with the
+// context error and leaves no plane leaked.
 func TestSubmitObservesCancellation(t *testing.T) {
 	net, ds := fixture(emac.NewPosit(8, 0), 4)
-	rt, err := NewRuntime(net, WithWorkers(1), WithQueueDepth(1))
+	rt := newRuntime(t, net, WithWorkers(1), WithFlushPipeline(1))
+	held, err := rt.AcquireFlushSlot(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	var submitErr error
-	for i := 0; i < 1000; i++ {
-		if submitErr = rt.Submit(ctx, i, ds.X[0]); submitErr != nil {
-			break
-		}
+	if _, err := rt.InferBatch(ctx, ds.X); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("InferBatch on a fully leased runtime = %v, want context.DeadlineExceeded", err)
 	}
-	if !errors.Is(submitErr, context.DeadlineExceeded) {
-		t.Fatalf("saturated Submit = %v, want context.DeadlineExceeded", submitErr)
+	held.Release()
+	if got := rt.FlushSlotsInUse(); got != 0 {
+		t.Fatalf("FlushSlotsInUse = %d after the cancelled wait, want 0", got)
 	}
-	// Drain and close cleanly.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range rt.Results() {
-		}
-	}()
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := rt.InferBatch(context.Background(), ds.X); err != nil {
+		t.Fatalf("batch after release: %v", err)
 	}
-	<-done
 }
 
 func TestRuntimeServesMixedModels(t *testing.T) {
@@ -222,95 +210,71 @@ func TestRuntimeServesMixedModels(t *testing.T) {
 	}
 }
 
-func TestSharedOutputsBitIdenticalAndReused(t *testing.T) {
+// TestFlushSlotBitIdenticalAndReused: a held plane's results are
+// bit-identical to a serial session, its next batch reuses the same
+// backing memory, and once grown it computes without allocating.
+func TestFlushSlotBitIdenticalAndReused(t *testing.T) {
 	net, ds := fixture(emac.NewFloatN(8, 4), 80)
-	want := make([][]float64, len(ds.X))
-	s := net.NewSession()
-	for i, x := range ds.X {
-		want[i] = s.Infer(x)
-	}
-	rt, err := NewRuntime(net, WithWorkers(4), WithSharedOutputs())
+	want := serial(net, ds.X)
+	rt := newRuntime(t, net, WithWorkers(4))
+	slot, err := rt.AcquireFlushSlot(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
-	got, err := rt.InferBatch(context.Background(), ds.X)
+	defer slot.Release()
+	got, err := slot.InferBatch(context.Background(), ds.X)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range got {
 		for j := range got[i] {
 			if got[i][j] != want[i][j] {
-				t.Fatalf("shared sample %d logit %d: %v != %v", i, j, got[i][j], want[i][j])
+				t.Fatalf("plane sample %d logit %d: %v != %v", i, j, got[i][j], want[i][j])
 			}
 		}
 	}
-	// The second batch reuses the same backing memory (the whole point),
-	// and still carries correct values.
-	again, err := rt.InferBatch(context.Background(), ds.X)
+	again, err := slot.InferBatch(context.Background(), ds.X)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &again[0][0] != &got[0][0] {
-		t.Fatal("shared-output batch did not reuse its buffer")
+		t.Fatal("second batch on the slot did not reuse its plane")
 	}
 	for i := range again {
 		for j := range again[i] {
 			if again[i][j] != want[i][j] {
-				t.Fatalf("second shared batch diverged at sample %d", i)
+				t.Fatalf("second batch diverged at sample %d", i)
 			}
 		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := slot.InferBatch(context.Background(), ds.X); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state FlushSlot.InferBatch allocates %v times per call, want 0", allocs)
 	}
 }
 
 func TestRuntimeRejectsMisshapenInput(t *testing.T) {
 	net, _ := fixture(emac.NewPosit(8, 0), 1)
-	rt, err := NewRuntime(net, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, net, WithWorkers(1))
 	if _, err := rt.InferBatch(context.Background(), [][]float64{make([]float64, 5)}); err == nil {
 		t.Fatal("misshapen batch accepted")
 	}
-	if err := rt.Submit(context.Background(), 0, make([]float64, 5)); err == nil {
-		t.Fatal("misshapen submission accepted")
+	if got := rt.FlushSlotsInUse(); got != 0 {
+		t.Fatalf("rejected batch leaked a plane: %d in use", got)
 	}
 }
 
-func TestEngineWrapperStillWorks(t *testing.T) {
-	net, ds := fixture(emac.NewPosit(8, 0), 40)
-	e := New(net, 3)
-	if e.Workers() != 3 || e.Network() != net {
-		t.Fatal("wrapper plumbing")
-	}
-	got := e.InferBatch(ds.X)
-	s := net.NewSession()
-	for i, x := range ds.X {
-		want := s.Infer(x)
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("wrapper sample %d diverges", i)
-			}
-		}
-	}
-	e.Close()
-	if err := e.Submit(0, ds.X[0]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("wrapper Submit after Close = %v, want ErrClosed", err)
-	}
-}
-
-// TestSharedOutputsConcurrentConsumers hammers PredictBatch/Accuracy
-// concurrently on a shared-output runtime: classes must be computed from
-// the caller's own batch, never another batch's logits (the shared
-// buffer is consumed under its lock). Run under -race in CI.
-func TestSharedOutputsConcurrentConsumers(t *testing.T) {
+// TestPlaneConcurrentConsumers hammers PredictBatch/Accuracy
+// concurrently on more goroutines than planes: classes must be computed
+// from the caller's own batch, never another batch's logits (each plane
+// is reduced while still leased). Run under -race in CI.
+func TestPlaneConcurrentConsumers(t *testing.T) {
 	net, ds := fixture(emac.NewPosit(8, 0), 60)
-	rt, err := NewRuntime(net, WithWorkers(4), WithSharedOutputs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRuntime(t, net, WithWorkers(4), WithFlushPipeline(2))
 	wantClasses, err := rt.PredictBatch(context.Background(), ds.X)
 	if err != nil {
 		t.Fatal(err)

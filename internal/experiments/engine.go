@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -25,8 +26,8 @@ type EngineRow struct {
 
 // EngineSweep (extension) evaluates every 8-bit EMAC arm over every
 // dataset twice — serially through one session and in parallel through
-// the worker-pool batch engine — and reports throughput plus the
-// speedup. The engine's accuracies must match the serial ones exactly
+// an engine.Runtime worker pool — and reports throughput plus the
+// speedup. The runtime's accuracies must match the serial ones exactly
 // (each worker's session is bit-identical to the serial datapath); the
 // harness panics if they ever diverge, so the table doubles as an
 // end-to-end check of the shared-nothing session plane. workers <= 0
@@ -53,11 +54,17 @@ func EngineSweep(evalLimit, workers int) ([]EngineRow, *tabulate.Table) {
 			serialAcc := s.Accuracy(test)
 			serial := time.Since(start)
 
-			e := engine.New(net, workers)
+			rt, err := engine.NewRuntime(net, engine.WithWorkers(workers))
+			if err != nil {
+				panic(fmt.Sprintf("experiments: %v", err))
+			}
 			start = time.Now()
-			parAcc := e.Accuracy(test)
+			parAcc, err := rt.Accuracy(context.Background(), test)
 			par := time.Since(start)
-			e.Close()
+			_ = rt.Close()
+			if err != nil {
+				panic(fmt.Sprintf("experiments: runtime accuracy on %s/%s: %v", tr.Name, a.Name(), err))
+			}
 
 			if par <= 0 {
 				par = time.Nanosecond // sub-resolution run; avoid a 0/0 speedup

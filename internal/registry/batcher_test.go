@@ -11,12 +11,12 @@ import (
 	"repro/internal/engine"
 )
 
-// newTestBatcher builds a shared-output runtime (as the registry does)
-// plus a reference runtime-free inferer for ground truth.
+// newTestBatcher builds a runtime with the registry's default flush
+// pipeline and wraps it in a batcher.
 func newTestBatcher(t *testing.T, window time.Duration, maxBatch int) (*Batcher, *Metrics) {
 	t.Helper()
 	model := posit8Model(11)
-	rt, err := engine.NewRuntime(model, engine.WithWorkers(2), engine.WithSharedOutputs())
+	rt, err := engine.NewRuntime(model, engine.WithWorkers(2), engine.WithFlushPipeline(DefaultFlushPipeline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +163,8 @@ func TestBatcherFlushOnIdle(t *testing.T) {
 }
 
 // TestBatcherExplicitBatchMatches: the direct batch path through the
-// batcher (serialised + copied out of the shared runtime buffer) is also
-// bit-identical, and two interleaved batches never corrupt each other.
+// batcher (copied out of a leased plane) is also bit-identical, and
+// interleaved batches never corrupt each other.
 func TestBatcherExplicitBatchMatches(t *testing.T) {
 	b, _ := newTestBatcher(t, time.Millisecond, 8)
 	ref := b.Runtime().Model().NewInferer()
@@ -202,10 +202,10 @@ func TestBatcherExplicitBatchMatches(t *testing.T) {
 	}
 }
 
-// TestBatcherUnsharedRuntime: over an ordinary (allocating) runtime the
-// batcher skips the flush serialisation and copy, and results are still
-// bit-identical.
-func TestBatcherUnsharedRuntime(t *testing.T) {
+// TestBatcherSinglePlaneRuntime: over a runtime built with no pipeline
+// option (one plane) coalesced flushes serialise on the plane, and
+// results are still bit-identical.
+func TestBatcherSinglePlaneRuntime(t *testing.T) {
 	model := posit8Model(12)
 	rt, err := engine.NewRuntime(model, engine.WithWorkers(2))
 	if err != nil {

@@ -150,7 +150,7 @@ func TestPipelinedBitIdentityAtDepth2(t *testing.T) {
 func TestCloseMidPipelineDrains(t *testing.T) {
 	model := &slowModel{Model: posit8Model(48), delay: 20 * time.Millisecond}
 	rt, err := engine.NewRuntime(model,
-		engine.WithWorkers(2), engine.WithSharedOutputs(), engine.WithFlushPipeline(2))
+		engine.WithWorkers(2), engine.WithFlushPipeline(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,11 +63,8 @@ type Option func(*config)
 
 // WithRuntimeOptions sets the engine options (worker count, queue depth,
 // warm tables) applied to every per-model runtime the registry builds.
-// When micro-batching is enabled, engine.WithSharedOutputs is implied:
-// the batcher serialises runtime access and copies results out, so
-// coalesced flushes ride the allocation-free batch path. With batching
-// disabled (WithBatchWindow(0) or WithMaxBatch(1)) runtimes stay on the
-// allocating path so concurrent requests use the whole pool unserialised.
+// The registry sets the runtime's flush-pipeline depth itself (see
+// WithFlushPipeline).
 func WithRuntimeOptions(opts ...engine.Option) Option {
 	return func(c *config) { c.rtOpts = append(c.rtOpts, opts...) }
 }
@@ -76,7 +73,9 @@ func WithRuntimeOptions(opts ...engine.Option) Option {
 // model: single-sample inferences arriving within the window share one
 // runtime batch. The window caps how long a call waits for batch-mates;
 // a call that arrives after a full window of silence flushes at once.
-// d <= 0 disables coalescing. The default is DefaultBatchWindow.
+// The cap is a Go runtime timer, so a flush can land up to about 1 ms
+// past the window on an idle process (see DefaultBatchWindow). d <= 0
+// disables coalescing. The default is DefaultBatchWindow.
 func WithBatchWindow(d time.Duration) Option {
 	return func(c *config) { c.window = d }
 }
@@ -99,13 +98,13 @@ func WithMaxInFlight(n int) Option {
 	return func(c *config) { c.maxInFlight = n }
 }
 
-// WithFlushPipeline sets the flush-pipeline depth D for every
-// shared-output runtime the registry builds: D leasable result planes,
-// so the runtime computes flush N while flush N−1's results demux and
-// flush N+1 accumulates. d = 1 serialises flushes (the pre-pipeline
-// behaviour); d <= 0 resets to DefaultFlushPipeline. Ignored when
-// micro-batching is disabled (those runtimes run unserialised on the
-// allocating path already).
+// WithFlushPipeline sets the flush-pipeline depth D for every runtime
+// the registry builds: D leasable result planes, so the runtime computes
+// flush N while flush N−1's results demux and flush N+1 accumulates.
+// d = 1 serialises flushes (the pre-pipeline behaviour); d <= 0 resets
+// to DefaultFlushPipeline. With micro-batching disabled every request is
+// its own batch, so those runtimes get at least one plane per worker and
+// concurrent requests still fill the pool.
 func WithFlushPipeline(d int) Option {
 	return func(c *config) { c.flushDepth = d }
 }
@@ -450,12 +449,12 @@ func (r *Registry) loadEntry(name string, key, hash artifact.Hash, artBytes int6
 	}
 	r.mu.Unlock()
 
-	// Shared outputs only when the micro-batcher will serialise access
-	// and copy results out; on the passthrough path concurrent requests
-	// keep the pool unserialised.
+	// Unbatched, every request leases its own plane: give each worker
+	// one so concurrent requests still fill the pool.
 	opts := append([]engine.Option{}, r.cfg.rtOpts...)
-	if r.cfg.window > 0 && r.cfg.maxBatch > 1 {
-		opts = append(opts, engine.WithSharedOutputs(), engine.WithFlushPipeline(r.cfg.flushDepth))
+	opts = append(opts, engine.WithFlushPipeline(r.cfg.flushDepth))
+	if r.cfg.window <= 0 || r.cfg.maxBatch <= 1 {
+		opts = append(opts, engine.WithPlanePerWorker())
 	}
 	rt, err := engine.NewRuntime(model, opts...)
 	if err != nil {
@@ -526,10 +525,9 @@ func (h *Handle) Model() core.Model { return h.e.model }
 // ContentHash returns the model's artifact content address.
 func (h *Handle) ContentHash() artifact.Hash { return h.e.hash }
 
-// Runtime returns the model's worker-pool runtime. When micro-batching
-// is enabled it is built with shared outputs: call it through Batcher
-// (which serialises access and copies results) rather than invoking
-// InferBatch directly.
+// Runtime returns the model's worker-pool runtime. Serve requests
+// through Batcher or the Handle's Infer methods, which own the metrics
+// and admission; calling the runtime directly bypasses both.
 func (h *Handle) Runtime() *engine.Runtime { return h.e.rt }
 
 // Batcher returns the model's micro-batcher — the inference entry point.
@@ -671,9 +669,8 @@ type ModelStat struct {
 	Workers     int    `json:"workers"`
 	BatchWindow string `json:"batch_window"`
 	MaxBatch    int    `json:"max_batch"`
-	// FlushPipeline is the runtime's flush-slot plane count (0 when the
-	// model serves on the unserialised allocating path); PipelineInUse
-	// samples how many planes are leased right now.
+	// FlushPipeline is the runtime's flush-slot plane count;
+	// PipelineInUse samples how many planes are leased right now.
 	FlushPipeline int `json:"flush_pipeline"`
 	PipelineInUse int `json:"pipeline_in_use"`
 	// MaxInFlight is the admission capacity in units (0 = unlimited);

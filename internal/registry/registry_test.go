@@ -65,35 +65,88 @@ func TestLoadAcquireUnload(t *testing.T) {
 	}
 }
 
-// TestSharedOutputsTracksBatching: coalescing entries ride the
-// shared-output (0 allocs/op) runtime path; with batching disabled the
-// runtime stays on the allocating path so concurrent requests are not
-// serialised through the batcher.
-func TestSharedOutputsTracksBatching(t *testing.T) {
-	batched := New(WithRuntimeOptions(engine.WithWorkers(1)))
+// gatedModel wraps a core.Model so every fused batch call reports on
+// entered and then blocks until release closes: a test can hold
+// inferences in flight and count them.
+type gatedModel struct {
+	core.Model
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (m *gatedModel) NewInferer() core.Inferer {
+	return &gatedInferer{Inferer: m.Model.NewInferer(), m: m}
+}
+
+type gatedInferer struct {
+	core.Inferer
+	m *gatedModel
+}
+
+func (g *gatedInferer) InferBatchInto(dst []float64, xs [][]float64) []float64 {
+	g.m.entered <- struct{}{}
+	<-g.m.release
+	return g.Inferer.InferBatchInto(dst, xs)
+}
+
+// TestFlushDepthTracksBatching: a coalescing runtime keeps the
+// configured flush-pipeline depth; with batching disabled the depth is
+// at least the worker count, and that many concurrent Handle.Infer
+// calls are in flight at once — every request leases its own plane, so
+// passthrough traffic still fills the pool.
+func TestFlushDepthTracksBatching(t *testing.T) {
+	batched := New(WithRuntimeOptions(engine.WithWorkers(4)), WithFlushPipeline(3))
 	defer batched.Close()
 	if err := batched.Load("m", posit8Model(20)); err != nil {
 		t.Fatal(err)
 	}
 	h, _ := batched.Acquire("m")
-	if !h.Runtime().SharedOutputs() {
-		t.Fatal("batching enabled but runtime not shared-output")
+	if d := h.Runtime().FlushPipelineDepth(); d != 3 {
+		t.Fatalf("batching runtime depth = %d, want the configured 3", d)
 	}
 	h.Release()
 
-	plain := New(WithRuntimeOptions(engine.WithWorkers(1)), WithBatchWindow(0))
+	const workers = 4
+	gm := &gatedModel{Model: posit8Model(21), entered: make(chan struct{}), release: make(chan struct{})}
+	plain := New(WithRuntimeOptions(engine.WithWorkers(workers)), WithBatchWindow(0), WithFlushPipeline(2))
 	defer plain.Close()
-	if err := plain.Load("m", posit8Model(21)); err != nil {
+	if err := plain.Load("m", gm); err != nil {
 		t.Fatal(err)
 	}
 	h2, _ := plain.Acquire("m")
-	if h2.Runtime().SharedOutputs() {
-		t.Fatal("batching disabled but runtime built with shared outputs")
-	}
+	defer h2.Release()
 	if h2.Batcher().Window() != 0 {
 		t.Fatalf("Window = %v, want 0", h2.Batcher().Window())
 	}
-	h2.Release()
+	if d := h2.Runtime().FlushPipelineDepth(); d < workers {
+		t.Fatalf("window-0 runtime depth = %d, want >= %d workers", d, workers)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = h2.Infer(context.Background(), testInput(i))
+		}(i)
+	}
+	for i := 0; i < workers; i++ {
+		select {
+		case <-gm.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d concurrent window-0 requests reached a worker", i, workers)
+		}
+	}
+	if got := h2.Runtime().FlushSlotsInUse(); got != workers {
+		t.Fatalf("FlushSlotsInUse = %d with %d requests in flight", got, workers)
+	}
+	close(gm.release)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
 }
 
 func TestInvalidNames(t *testing.T) {

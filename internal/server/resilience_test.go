@@ -7,8 +7,12 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -231,45 +235,76 @@ func TestInferencePanicIs500NotCrash(t *testing.T) {
 }
 
 // TestNaRWeightNeverEmpty200: an artifact whose weights hold the posit
-// NaR code loads, and its logits come out NaN, which has no JSON form.
-// Served through the real handler, a request must never answer 200
-// with an empty body: the encode failure becomes a 500 carrying the
-// error envelope.
+// NaR code would compute NaN logits, which have no JSON form. Both
+// codecs reject it at load, so no infer on it can ever answer 200 with
+// an empty body: LoadBytes fails for the binary and the JSON artifact,
+// and POST /v1/models answers 4xx with the error envelope whether the
+// artifact arrives inline (JSON) or by path (binary).
 func TestNaRWeightNeverEmpty200(t *testing.T) {
-	m, test := irisModel(t)
+	m, _ := irisModel(t)
 	net, ok := m.(*core.Network)
 	if !ok {
 		t.Fatalf("iris model is %T, want *core.Network", m)
 	}
 	net.Layers[len(net.Layers)-1].W[0][0] = emac.Code(1 << 7) // posit(8,0) NaR
-	data, err := artifact.Encode(net)
+	bin, err := artifact.Encode(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := registry.New()
-	if err := reg.LoadBytes("nar", data); err != nil {
+	js, err := json.Marshal(net)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(reg, "nar")
+
+	reg := registry.New()
+	if err := reg.LoadBytes("nar", bin); !errors.Is(err, artifact.ErrCorrupt) || !errors.Is(err, core.ErrNonFinite) {
+		t.Fatalf("binary NaR artifact load = %v, want ErrCorrupt wrapping ErrNonFinite", err)
+	}
+	if err := reg.LoadBytes("nar", js); !errors.Is(err, core.ErrNonFinite) {
+		t.Fatalf("JSON NaR artifact load = %v, want ErrNonFinite", err)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "nar.bin"), bin, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New(reg, "", WithModelDir(dir))
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() { ts.Close(); s.Close() })
-
-	batch, err := json.Marshal(map[string]any{"inputs": test.X[:4]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, body := range []string{inferBody(t, test), string(batch)} {
-		resp, raw := postJSON(t, ts.URL+"/v1/models/nar/infer", body)
-		if resp.StatusCode == http.StatusOK && len(raw) == 0 {
-			t.Fatalf("NaR model answered 200 with an empty body to %s", body)
-		}
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("NaR model infer = %d (%s), want 500", resp.StatusCode, raw)
+	for _, body := range []string{
+		`{"name":"nar","artifact":` + string(js) + `}`,
+		`{"name":"nar","path":"nar.bin"}`,
+	} {
+		resp, raw := postJSON(t, ts.URL+"/v1/models", body)
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Fatalf("NaR artifact load = %d (%s), want 4xx", resp.StatusCode, raw)
 		}
 		var e errorJSON
-		if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
-			t.Fatalf("500 body %q is not the error envelope (%v)", raw, err)
+		if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "non-finite") {
+			t.Fatalf("%d body %q is not the non-finite error envelope (%v)", resp.StatusCode, raw, err)
 		}
+	}
+	if resp, raw := postJSON(t, ts.URL+"/v1/models/nar/infer", `{"input":[1,2,3,4]}`); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("infer on the rejected model = %d (%s), want 404", resp.StatusCode, raw)
+	}
+}
+
+// TestWriteJSONEncodeFailureIs500: a response value with no JSON form
+// (a NaN) is encoded into the buffer before any header goes out, so the
+// client gets a 500 with the error envelope instead of a 200 with an
+// empty body.
+func TestWriteJSONEncodeFailureIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, inferResponse{Result: &prediction{Logits: []float64{math.NaN()}}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q", ct)
+	}
+	var e errorJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Fatalf("500 body %q is not the error envelope (%v)", rec.Body.Bytes(), err)
 	}
 }
 

@@ -243,11 +243,13 @@ type MixedSession = core.MixedSession
 
 // Runtime is the serving-grade inference plane: a worker pool in which
 // every worker owns one shared-nothing Inferer over one immutable Model
-// (uniform or mixed precision alike). Its methods observe context
-// cancellation and return errors instead of panicking: InferBatch(ctx),
-// PredictBatch(ctx), Accuracy(ctx), Submit(ctx, id, x) and Close — after
-// which late submissions get ErrRuntimeClosed, and in-flight results are
-// never dropped.
+// (uniform or mixed precision alike). Every batch runs one way: lease a
+// result plane, compute into it, copy the logits out (InferBatch) or
+// reduce them in place (PredictBatch, Accuracy), release the plane.
+// AcquireFlushSlot exposes the lease itself for allocation-free
+// callers. Methods observe context cancellation and return errors
+// instead of panicking; after Close, late calls get ErrRuntimeClosed and
+// in-flight batches are never dropped.
 type Runtime = engine.Runtime
 
 // RuntimeOption configures a Runtime at construction (functional
@@ -258,8 +260,8 @@ type RuntimeOption = engine.Option
 var ErrRuntimeClosed = engine.ErrClosed
 
 // NewRuntime starts an inference runtime over any Model. Options:
-// WithWorkers, WithQueueDepth, WithWarmTables, WithSharedOutputs. Call
-// Close to release the pool.
+// WithWorkers, WithQueueDepth, WithWarmTables. Call Close to release the
+// pool.
 func NewRuntime(m Model, opts ...RuntimeOption) (*Runtime, error) {
 	return engine.NewRuntime(m, opts...)
 }
@@ -275,11 +277,6 @@ func WithQueueDepth(n int) RuntimeOption { return engine.WithQueueDepth(n) }
 // WithWarmTables eagerly builds the posit fast-path tables for every
 // posit layer format before the first inference.
 func WithWarmTables() RuntimeOption { return engine.WithWarmTables() }
-
-// WithSharedOutputs makes InferBatch decode logits into a runtime-owned
-// buffer reused across calls — allocation-free dataset sweeps; the
-// returned slices are valid only until the next InferBatch call.
-func WithSharedOutputs() RuntimeOption { return engine.WithSharedOutputs() }
 
 // --- the multi-model serving registry ---
 
@@ -526,26 +523,6 @@ func ParseFaultRule(s string) (FaultRule, error) { return faults.ParseRule(s) }
 func NewFaultInjector(seed uint64, rules ...FaultRule) *FaultInjector {
 	return faults.New(seed, rules...)
 }
-
-// Engine is the original worker-pool batch-inference engine over a
-// uniform-precision network.
-//
-// Deprecated: use Runtime via NewRuntime for direct batch inference, or
-// a Registry (NewRegistry) when serving models behind names — both serve
-// mixed-precision models, observe context cancellation and return errors
-// instead of panicking. Engine remains as a source-compatible shim over
-// Runtime.
-type Engine = engine.Engine
-
-// EngineResult is one completed streaming inference (ID, logits, class).
-type EngineResult = engine.Result
-
-// NewEngine starts an inference engine with the given worker count over
-// the network (workers <= 0 selects GOMAXPROCS). Call Close to release
-// the pool.
-//
-// Deprecated: use NewRuntime.
-func NewEngine(net *DeepPositron, workers int) *Engine { return engine.New(net, workers) }
 
 // SweepResult is one evaluated low-precision configuration.
 type SweepResult = core.Result
