@@ -15,10 +15,11 @@
 // result planes per runtime, so the fused batch kernels compute flush N
 // while flush N−1's results demux and flush N+1 accumulates (1
 // serialises flushes end to end). With -batch-window 0 every request is
-// its own batch, and each runtime gets at least one plane per worker. -cost-aware makes the
-// -max-inflight admission gate count samples instead of requests: an
-// explicit batch of n inputs claims n units, so mixed single/batch
-// traffic sheds in proportion to the compute it asks for.
+// its own batch and each runtime has one plane per worker instead.
+// -cost-aware makes the -max-inflight admission gate count samples
+// instead of requests: an explicit batch of n inputs claims n units, so
+// mixed single/batch traffic sheds in proportion to the compute it asks
+// for.
 //
 // Each -model flag is either name=path or a bare path (the name is then
 // derived from the file name: models/Iris.quant.json -> "Iris"). Both

@@ -48,11 +48,10 @@ type task struct {
 
 // config collects the functional options.
 type config struct {
-	workers        int
-	queueDepth     int
-	warmTables     bool
-	flushDepth     int
-	planePerWorker bool
+	workers    int
+	queueDepth int
+	warmTables bool
+	flushDepth int // 0: unset
 }
 
 // Option configures a Runtime at construction.
@@ -77,14 +76,10 @@ func WithWarmTables() Option { return func(c *config) { c.warmTables = true } }
 // flight at once — one plane computing while another's readers still
 // demultiplex — which is how the serving micro-batcher overlaps
 // collect/compute/demux instead of serialising them end to end. d <= 1
-// keeps a single plane: batches serialise on it.
-func WithFlushPipeline(d int) Option { return func(c *config) { c.flushDepth = d } }
-
-// WithPlanePerWorker raises the flush-pipeline depth to at least the
-// worker count, so as many concurrent InferBatch callers as there are
-// workers each hold a plane at once. It suits unbatched serving, where
-// every request is its own batch.
-func WithPlanePerWorker() Option { return func(c *config) { c.planePerWorker = true } }
+// keeps a single plane: batches serialise on it. Without this option a
+// runtime has one plane per worker, so as many concurrent InferBatch
+// callers as there are workers each hold a plane at once.
+func WithFlushPipeline(d int) Option { return func(c *config) { c.flushDepth = max(d, 1) } }
 
 // Runtime is a context-aware worker-pool inference runtime over one
 // immutable Model. Every inference runs the same way: lease one of the
@@ -141,9 +136,8 @@ func NewRuntime(model core.Model, opts ...Option) (*Runtime, error) {
 			}
 		}
 	}
-	cfg.flushDepth = max(cfg.flushDepth, 1)
-	if cfg.planePerWorker {
-		cfg.flushDepth = max(cfg.flushDepth, cfg.workers)
+	if cfg.flushDepth == 0 {
+		cfg.flushDepth = cfg.workers
 	}
 	r := &Runtime{
 		model:      model,
@@ -384,19 +378,27 @@ func (r *Runtime) leased(ctx context.Context, xs [][]float64, use func(rows [][]
 // behave as in FlushSlot.InferBatch.
 func (r *Runtime) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	var out [][]float64
-	err := r.leased(ctx, xs, func(rows [][]float64) {
-		od := r.model.OutputDim()
-		flat := make([]float64, len(rows)*od)
-		out = make([][]float64, len(rows))
-		for i, row := range rows {
-			out[i] = flat[i*od : (i+1)*od : (i+1)*od]
-			copy(out[i], row)
-		}
-	})
+	err := r.leased(ctx, xs, func(rows [][]float64) { out = CopyRows(rows) })
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// CopyRows copies a leased plane's rows (all of one width) into one
+// flat caller-owned allocation, so they outlive the plane's Release.
+func CopyRows(rows [][]float64) [][]float64 {
+	if len(rows) == 0 {
+		return [][]float64{}
+	}
+	od := len(rows[0])
+	flat := make([]float64, len(rows)*od)
+	out := make([][]float64, len(rows))
+	for i, row := range rows {
+		out[i] = flat[i*od : (i+1)*od : (i+1)*od]
+		copy(out[i], row)
+	}
+	return out
 }
 
 // PredictBatch runs the batch through a leased plane and returns the

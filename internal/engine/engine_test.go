@@ -89,12 +89,13 @@ func TestAccuracyMatchesCore(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatches: more concurrent callers than planes queue for
-// a lease, and every caller's copied-out logits are its own.
+// TestConcurrentBatches: more concurrent callers than the default one
+// plane per worker queue for a lease, and every caller's copied-out
+// logits are its own.
 func TestConcurrentBatches(t *testing.T) {
 	net, ds := fixture(emac.NewFloatN(8, 4), 60)
 	want := serial(net, ds.X)
-	rt := newRuntime(t, net, WithWorkers(4), WithFlushPipeline(2))
+	rt := newRuntime(t, net, WithWorkers(4))
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)

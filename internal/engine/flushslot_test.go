@@ -16,18 +16,18 @@ import (
 )
 
 // TestEveryRuntimeHasFlushSlots: a runtime built with no pipeline
-// option leases one plane; WithPlanePerWorker raises the depth to the
-// worker count but never lowers a deeper configured pipeline.
+// option leases one plane per worker; an explicit WithFlushPipeline
+// depth wins, and d <= 1 keeps a single plane.
 func TestEveryRuntimeHasFlushSlots(t *testing.T) {
 	net, _ := fixture(emac.NewPosit(8, 0), 1)
 	for _, c := range []struct {
 		opts []Option
 		want int
 	}{
-		{nil, 1},
-		{[]Option{WithWorkers(3), WithPlanePerWorker()}, 3},
-		{[]Option{WithWorkers(3), WithFlushPipeline(5), WithPlanePerWorker()}, 5},
+		{[]Option{WithWorkers(3)}, 3},
+		{[]Option{WithWorkers(3), WithFlushPipeline(5)}, 5},
 		{[]Option{WithWorkers(3), WithFlushPipeline(2)}, 2},
+		{[]Option{WithWorkers(3), WithFlushPipeline(0)}, 1},
 	} {
 		rt := newRuntime(t, net, c.opts...)
 		if d := rt.FlushPipelineDepth(); d != c.want {

@@ -74,7 +74,6 @@ type Batcher struct {
 	maxBatch int
 	metrics  *Metrics
 	inDim    int
-	outDim   int
 
 	// mu guards the pending queue, the window timer, last and closed.
 	mu      sync.Mutex
@@ -91,7 +90,7 @@ type Batcher struct {
 
 // NewBatcher wraps a runtime with a micro-batcher. window <= 0 or
 // maxBatch <= 1 disables coalescing: Infer degenerates to a
-// single-sample Runtime.InferBatch. metrics may be nil.
+// single-sample batch on its own leased plane. metrics may be nil.
 func NewBatcher(rt *engine.Runtime, window time.Duration, maxBatch int, metrics *Metrics) *Batcher {
 	m := rt.Model()
 	return &Batcher{
@@ -100,7 +99,6 @@ func NewBatcher(rt *engine.Runtime, window time.Duration, maxBatch int, metrics 
 		maxBatch: maxBatch,
 		metrics:  metrics,
 		inDim:    m.InputDim(),
-		outDim:   m.OutputDim(),
 	}
 }
 
@@ -233,18 +231,26 @@ func (b *Batcher) InferBatch(ctx context.Context, xs [][]float64) ([][]float64, 
 }
 
 // inferDirect runs one runtime batch for a caller that wants the results
-// back (the passthrough and explicit-batch paths): Runtime.InferBatch
-// leases a plane, computes, copies the results out and releases it. The
-// observed compute time includes any wait for a free plane.
+// back (the passthrough and explicit-batch paths). It leases a flush
+// slot — waiting for a free plane is this path's queue wait — and copies
+// the results out of the plane before releasing it.
 func (b *Batcher) inferDirect(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	start := time.Now()
-	out, err := b.rt.InferBatch(ctx, xs)
+	acq := time.Now()
+	slot, err := b.rt.AcquireFlushSlot(ctx)
 	if err != nil {
 		return nil, err
 	}
-	b.metrics.ObserveCompute(time.Since(start))
+	defer slot.Release()
+	b.metrics.ObserveQueueWait(time.Since(acq))
+	b.metrics.ObservePipelineDepth(b.rt.FlushSlotsInUse())
+	computeStart := time.Now()
+	rows, err := slot.InferBatch(ctx, xs)
+	if err != nil {
+		return nil, err
+	}
+	b.metrics.ObserveCompute(time.Since(computeStart))
 	b.metrics.ObserveFlush(len(xs), false)
-	return out, nil
+	return engine.CopyRows(rows), nil
 }
 
 // takeLocked detaches the pending queue and disarms the window timer.
@@ -325,12 +331,8 @@ func (b *Batcher) run(batch []*call) {
 	b.metrics.ObserveFlush(len(xs), true)
 	// Demux copy: one flat caller-owned allocation for the window, then
 	// the plane frees for the next flush before the callers wake.
-	od := b.outDim
-	flat := make([]float64, len(out)*od)
-	for i, c := range live {
-		dst := flat[i*od : (i+1)*od : (i+1)*od]
-		copy(dst, out[i])
-		c.logits = dst
+	for i, row := range engine.CopyRows(out) {
+		live[i].logits = row
 	}
 	slot.Release()
 	for _, c := range live {

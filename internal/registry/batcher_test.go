@@ -202,12 +202,11 @@ func TestBatcherExplicitBatchMatches(t *testing.T) {
 	}
 }
 
-// TestBatcherSinglePlaneRuntime: over a runtime built with no pipeline
-// option (one plane) coalesced flushes serialise on the plane, and
+// TestBatcherSinglePlaneRuntime: over a single-plane runtime coalesced flushes serialise on the plane, and
 // results are still bit-identical.
 func TestBatcherSinglePlaneRuntime(t *testing.T) {
 	model := posit8Model(12)
-	rt, err := engine.NewRuntime(model, engine.WithWorkers(2))
+	rt, err := engine.NewRuntime(model, engine.WithWorkers(2), engine.WithFlushPipeline(1))
 	if err != nil {
 		t.Fatal(err)
 	}

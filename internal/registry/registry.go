@@ -63,8 +63,8 @@ type Option func(*config)
 
 // WithRuntimeOptions sets the engine options (worker count, queue depth,
 // warm tables) applied to every per-model runtime the registry builds.
-// The registry sets the runtime's flush-pipeline depth itself (see
-// WithFlushPipeline).
+// When micro-batching is enabled the registry sets the runtime's
+// flush-pipeline depth itself (see WithFlushPipeline).
 func WithRuntimeOptions(opts ...engine.Option) Option {
 	return func(c *config) { c.rtOpts = append(c.rtOpts, opts...) }
 }
@@ -102,9 +102,10 @@ func WithMaxInFlight(n int) Option {
 // the registry builds: D leasable result planes, so the runtime computes
 // flush N while flush N−1's results demux and flush N+1 accumulates.
 // d = 1 serialises flushes (the pre-pipeline behaviour); d <= 0 resets
-// to DefaultFlushPipeline. With micro-batching disabled every request is
-// its own batch, so those runtimes get at least one plane per worker and
-// concurrent requests still fill the pool.
+// to DefaultFlushPipeline. Ignored when micro-batching is disabled:
+// every request is then its own batch, and those runtimes keep the
+// engine default of one plane per worker so concurrent requests still
+// fill the pool.
 func WithFlushPipeline(d int) Option {
 	return func(c *config) { c.flushDepth = d }
 }
@@ -449,12 +450,12 @@ func (r *Registry) loadEntry(name string, key, hash artifact.Hash, artBytes int6
 	}
 	r.mu.Unlock()
 
-	// Unbatched, every request leases its own plane: give each worker
-	// one so concurrent requests still fill the pool.
+	// Batching runtimes get the configured pipeline depth. Unbatched,
+	// every request leases its own plane, and the engine default of one
+	// plane per worker lets concurrent requests fill the pool.
 	opts := append([]engine.Option{}, r.cfg.rtOpts...)
-	opts = append(opts, engine.WithFlushPipeline(r.cfg.flushDepth))
-	if r.cfg.window <= 0 || r.cfg.maxBatch <= 1 {
-		opts = append(opts, engine.WithPlanePerWorker())
+	if r.cfg.window > 0 && r.cfg.maxBatch > 1 {
+		opts = append(opts, engine.WithFlushPipeline(r.cfg.flushDepth))
 	}
 	rt, err := engine.NewRuntime(model, opts...)
 	if err != nil {
